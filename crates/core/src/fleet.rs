@@ -4,7 +4,8 @@
 //! One [`SessionScheduler`] saturates one core when driven inline; a
 //! monitoring backend wants to saturate *all* of them. [`Fleet`] spawns
 //! N worker **shards**, each owning its own scheduler slab on a
-//! dedicated OS thread, fed by a per-shard bounded SPSC ingest mailbox.
+//! dedicated OS thread, fed by a per-shard bounded
+//! [`std::sync::mpsc::sync_channel`] mailbox.
 //! Shards never share mutable session state — the only cross-shard
 //! traffic is whole [`MigratedSession`]s lifted out at hop boundaries,
 //! and even those travel through the serialized
@@ -20,10 +21,9 @@
 //! `core.fleet.rejected`. Control commands (tick, extract, report,
 //! shutdown) use the blocking send — they must not be dropped, and a
 //! full mailbox only delays them until the shard drains its ingest
-//! backlog. The mailbox is a `Mutex<VecDeque>` + condvars rather than a
-//! lock-free ring: it carries a handful of control messages per second
-//! (the sample data itself is `Arc`-shared and never queued), so
-//! per-message lock cost is irrelevant next to the 1 s hop cadence.
+//! backlog. A failed send means the shard is gone; the supervisor
+//! learns that from the events channel, so sends ignore it. Dropping
+//! either end disconnects the channel, so nobody blocks on a dead peer.
 //!
 //! # Supervision
 //!
@@ -40,6 +40,17 @@
 //! sealed checkpoint plus an ingest-log suffix replay, bitwise-equal to
 //! a shard that never died.
 //!
+//! # Durability
+//!
+//! The control thread's [`FrontDoor`] owns checkpoint and recovery:
+//! watermark, checkpoint assembly, store append, lag-by-one compaction
+//! and suffix replay. [`Fleet::checkpoint`] and [`Fleet::recover`] only
+//! gather engine snapshots from the shards and hand restored engines
+//! back, so they share one implementation with the single-threaded
+//! reference, [`crate::wire::WireHub`]. Engines are restored on the
+//! control thread; an unusable snapshot fails the recovery with
+//! [`CoreError::RecoveryFailed`] instead of dropping the session.
+//!
 //! # Observability
 //!
 //! Fleet-level: `core.fleet.shards`, `core.fleet.log_segments` (gauges),
@@ -51,26 +62,24 @@
 //! `core.fleet.shard<i>.hop_us` and `core.fleet.shard<i>.quarantined`
 //! via [`SessionScheduler::with_metric_prefix`].
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use std::collections::BTreeMap;
-
 use cardiotouch_ingest::{
     Assembler, Checkpoint, CheckpointStore, FrameView, LogPosition, SegmentPolicy, SegmentedLog,
-    SessionCheckpoint, SessionResume,
+    SessionResume,
 };
 
 use crate::config::PipelineConfig;
 use crate::scheduler::{MigratedSession, ScheduleReport, SessionFeed, SessionScheduler};
 use crate::snapshot::BeatStreamSnapshot;
 use crate::stream::{BeatStream, QualifiedBeat};
-use crate::wire::{FrontDoor, WireSessionResult};
+use crate::wire::{restore_stream, FrontDoor, WireSessionResult};
 use crate::CoreError;
 
 /// Default per-shard ingest mailbox capacity (commands, not samples).
@@ -86,165 +95,6 @@ const WATCHDOG_TICK: Duration = Duration::from_millis(25);
 /// Idle worker mailbox-poll cadence — each timeout bumps the heartbeat,
 /// so an idle shard is provably alive.
 const WORKER_IDLE_TICK: Duration = Duration::from_millis(100);
-
-// ---------------------------------------------------------------------------
-// Bounded SPSC mailbox
-// ---------------------------------------------------------------------------
-
-struct MailboxInner<T> {
-    queue: Mutex<MailboxQueue<T>>,
-    /// Signalled when the queue gains an item (or closes).
-    not_empty: Condvar,
-    /// Signalled when the queue loses an item.
-    not_full: Condvar,
-    capacity: usize,
-}
-
-struct MailboxQueue<T> {
-    items: VecDeque<T>,
-    /// Set when *either* end drops, so neither side can block forever
-    /// on a peer that is gone.
-    closed: bool,
-}
-
-/// Producer half of a bounded SPSC mailbox. Deliberately not `Clone`:
-/// exactly one fleet control thread feeds each shard.
-struct MailboxSender<T>(Arc<MailboxInner<T>>);
-
-/// Consumer half, owned by the shard worker thread.
-struct MailboxReceiver<T>(Arc<MailboxInner<T>>);
-
-fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, MailboxReceiver<T>) {
-    let inner = Arc::new(MailboxInner {
-        queue: Mutex::new(MailboxQueue {
-            items: VecDeque::new(),
-            closed: false,
-        }),
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-        capacity: capacity.max(1),
-    });
-    (MailboxSender(Arc::clone(&inner)), MailboxReceiver(inner))
-}
-
-/// Outcome of a timed dequeue.
-enum MailboxRecv<T> {
-    /// An item was dequeued.
-    Item(T),
-    /// The wait elapsed with an empty queue (heartbeat opportunity).
-    Timeout,
-    /// The sender is gone and the queue is drained.
-    Closed,
-}
-
-// Every mailbox lock below recovers from poisoning with
-// `PoisonError::into_inner`: the queue's invariants are a plain
-// VecDeque's (always valid), and a shard that panicked while holding
-// the lock must not cascade-poison the control thread or its peers —
-// panic isolation is the supervisor's job, not the mutex's.
-
-impl<T> MailboxSender<T> {
-    /// Non-blocking enqueue: `Err(item)` when the mailbox is full (or
-    /// the receiver is gone).
-    fn try_send(&self, item: T) -> Result<(), T> {
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.closed || q.items.len() >= self.0.capacity {
-            return Err(item);
-        }
-        q.items.push_back(item);
-        drop(q);
-        self.0.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocking enqueue: waits for a slot. Used for control commands
-    /// that must not be dropped. Returns without enqueuing if the
-    /// receiver is gone — the fleet detects a dead shard via its
-    /// events channel, never by hanging here.
-    fn send(&self, item: T) {
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if q.closed {
-                return;
-            }
-            if q.items.len() < self.0.capacity {
-                break;
-            }
-            q = self
-                .0
-                .not_full
-                .wait(q)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        q.items.push_back(item);
-        drop(q);
-        self.0.not_empty.notify_one();
-    }
-}
-
-impl<T> Drop for MailboxSender<T> {
-    fn drop(&mut self) {
-        self.0
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.0.not_empty.notify_one();
-    }
-}
-
-impl<T> Drop for MailboxReceiver<T> {
-    fn drop(&mut self) {
-        self.0
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .closed = true;
-        self.0.not_full.notify_one();
-    }
-}
-
-impl<T> MailboxReceiver<T> {
-    /// Blocking dequeue; `None` once the sender is gone and the queue
-    /// is drained (so a dropped fleet always unparks its workers).
-    #[cfg(test)]
-    fn recv(&self) -> Option<T> {
-        loop {
-            match self.recv_timeout(Duration::from_secs(3600)) {
-                MailboxRecv::Item(item) => return Some(item),
-                MailboxRecv::Timeout => {}
-                MailboxRecv::Closed => return None,
-            }
-        }
-    }
-
-    /// Dequeue with a bounded wait, so an idle worker wakes to bump its
-    /// heartbeat instead of parking forever.
-    fn recv_timeout(&self, timeout: Duration) -> MailboxRecv<T> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(item) = q.items.pop_front() {
-                drop(q);
-                self.0.not_full.notify_one();
-                return MailboxRecv::Item(item);
-            }
-            if q.closed {
-                return MailboxRecv::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return MailboxRecv::Timeout;
-            }
-            let (guard, _) = self
-                .0
-                .not_empty
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Shard protocol
@@ -289,11 +139,11 @@ enum ShardCmd {
     /// drain their accumulated beats — the shard half of a fleet
     /// checkpoint. Answered with [`ShardEvent::WireSnapshotted`].
     WireSnapshot,
-    /// Reopen a wire session from serialized snapshot bytes (restart
-    /// recovery); empty bytes open a fresh stream.
+    /// Reopen a wire session with an engine the control thread restored
+    /// from checkpointed snapshot bytes (restart recovery).
     WireRestore {
         session: u32,
-        snapshot_bytes: Vec<u8>,
+        stream: Box<BeatStream>,
     },
     /// Panic inside the worker loop — the chaos harness's shard-crash
     /// switch. Exercises the same unwind path a session bug would.
@@ -375,7 +225,7 @@ fn shard_main(
     shard: usize,
     config: PipelineConfig,
     lanes: bool,
-    rx: &MailboxReceiver<ShardCmd>,
+    rx: &Receiver<ShardCmd>,
     events: &mpsc::Sender<ShardEvent>,
     health: &ShardHealth,
 ) {
@@ -396,13 +246,13 @@ fn shard_main(
     let wire_beats = cardiotouch_obs::counter(&format!("core.fleet.shard{shard}.wire_beats"));
     loop {
         let cmd = match rx.recv_timeout(WORKER_IDLE_TICK) {
-            MailboxRecv::Item(cmd) => cmd,
-            MailboxRecv::Timeout => {
+            Ok(cmd) => cmd,
+            Err(RecvTimeoutError::Timeout) => {
                 // Idle is not stalled: prove liveness to the watchdog.
                 health.beat();
                 continue;
             }
-            MailboxRecv::Closed => return,
+            Err(RecvTimeoutError::Disconnected) => return,
         };
         health.beat();
         match cmd {
@@ -503,20 +353,8 @@ fn shard_main(
                     return;
                 }
             }
-            ShardCmd::WireRestore {
-                session,
-                snapshot_bytes,
-            } => {
-                let stream = if snapshot_bytes.is_empty() {
-                    BeatStream::new(config).ok()
-                } else {
-                    BeatStreamSnapshot::from_bytes(&snapshot_bytes)
-                        .and_then(|snap| BeatStream::restore(config, &snap))
-                        .ok()
-                };
-                if let Some(stream) = stream {
-                    wire.insert(session, (stream, Vec::new()));
-                }
+            ShardCmd::WireRestore { session, stream } => {
+                wire.insert(session, (*stream, Vec::new()));
             }
             ShardCmd::InjectPanic => panic!("injected shard fault (chaos harness)"),
             ShardCmd::Sync { token } => {
@@ -533,13 +371,13 @@ fn shard_main(
 /// `catch_unwind`, so a panicking session tears down one shard, not the
 /// process. On panic the wrapper marks the shard down and posts
 /// [`ShardEvent::Down`]; either way the mailbox receiver drops on exit,
-/// closing the mailbox so senders never block against a dead shard.
+/// disconnecting the channel so senders never block against a dead shard.
 fn spawn_shard(
     shard: usize,
     epoch: u64,
     config: PipelineConfig,
     lanes: bool,
-    rx: MailboxReceiver<ShardCmd>,
+    rx: Receiver<ShardCmd>,
     events: mpsc::Sender<ShardEvent>,
     health: Arc<ShardHealth>,
 ) -> JoinHandle<()> {
@@ -560,56 +398,16 @@ fn spawn_shard(
         .expect("spawn fleet shard thread")
 }
 
-/// Routes one reassembled sample run to its owning shard. Unknown
-/// sessions auto-admit onto the least-loaded *live* shard; runs bound
-/// for a down shard are shed — losslessly, because the frame is already
-/// in the ingest log and the shard's restart replays the suffix.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_wire_run(
-    senders: &[MailboxSender<ShardCmd>],
-    health: &[Arc<ShardHealth>],
-    wire_routing: &mut BTreeMap<u32, usize>,
-    wire_counts: &mut [usize],
-    shed: &mut u64,
-    session: u32,
-    ecg: &[f64],
-    z: &[f64],
-) {
-    let shard = match wire_routing.get(&session) {
-        Some(&shard) => shard,
-        None => {
-            let placed = wire_counts
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !health[*i].down.load(Ordering::SeqCst))
-                .min_by_key(|(_, n)| **n)
-                .map(|(i, _)| i);
-            let Some(shard) = placed else {
-                *shed += 1;
-                return;
-            };
-            match senders[shard].try_send(ShardCmd::WireAdmit { session }) {
-                Ok(()) => {
-                    wire_routing.insert(session, shard);
-                    wire_counts[shard] += 1;
-                    shard
-                }
-                Err(_) => {
-                    *shed += 1;
-                    return;
-                }
-            }
-        }
-    };
-    if health[shard].down.load(Ordering::SeqCst) {
-        *shed += 1;
-        return;
-    }
-    senders[shard].send(ShardCmd::WireSamples {
-        session,
-        ecg: ecg.to_vec(),
-        z: z.to_vec(),
-    });
+/// The shard with the fewest `counts` among those not declared down;
+/// `None` when every shard is down. The one placement rule for fresh,
+/// wire and recovered sessions.
+fn least_loaded(counts: &[usize], health: &[Arc<ShardHealth>]) -> Option<usize> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !health[*i].down.load(Ordering::SeqCst))
+        .min_by_key(|(_, n)| **n)
+        .map(|(i, _)| i)
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +464,7 @@ impl FleetReport {
 /// live migration, occupancy-based rebalancing, and supervised crash
 /// recovery on the wire path.
 pub struct Fleet {
-    senders: Vec<MailboxSender<ShardCmd>>,
+    senders: Vec<SyncSender<ShardCmd>>,
     events: mpsc::Receiver<ShardEvent>,
     event_tx: mpsc::Sender<ShardEvent>,
     handles: Vec<JoinHandle<()>>,
@@ -778,7 +576,8 @@ impl Fleet {
         let mut health = Vec::with_capacity(shards);
         let now = Instant::now();
         for shard in 0..shards {
-            let (tx, rx) = mailbox(mailbox_capacity);
+            // Capacity 0 would make a rendezvous channel.
+            let (tx, rx) = mpsc::sync_channel(mailbox_capacity.max(1));
             let hp = ShardHealth::new();
             handles.push(spawn_shard(
                 shard,
@@ -853,13 +652,7 @@ impl Fleet {
                 z_len: feed.z.len(),
             });
         }
-        let shard = self
-            .occupancy
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, n)| **n)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let shard = least_loaded(&self.occupancy, &self.health).unwrap_or(0);
         match self.senders[shard].try_send(ShardCmd::Admit(Box::new(feed))) {
             Ok(()) => {
                 self.occupancy[shard] += 1;
@@ -886,7 +679,7 @@ impl Fleet {
         self.check_down()?;
         let start = Instant::now();
         for tx in &self.senders {
-            tx.send(ShardCmd::Run { ticks });
+            let _ = tx.send(ShardCmd::Run { ticks });
         }
         for _ in 0..self.senders.len() {
             match self.recv_event()? {
@@ -933,7 +726,7 @@ impl Fleet {
             });
         }
         self.check_down()?;
-        self.senders[from].send(ShardCmd::Extract { max: count });
+        let _ = self.senders[from].send(ShardCmd::Extract { max: count });
         let sessions = match self.recv_event()? {
             ShardEvent::Extracted { shard, sessions } if shard == from => sessions,
             _ => return Err(CoreError::FleetWorkerLost { shard: from }),
@@ -943,7 +736,7 @@ impl Fleet {
             // Serialize on the control thread; the destination shard
             // rehydrates from bytes alone.
             let snapshot_bytes = session.snapshot.to_bytes();
-            self.senders[to].send(ShardCmd::AdmitMigrated {
+            let _ = self.senders[to].send(ShardCmd::AdmitMigrated {
                 session: Box::new(session),
                 snapshot_bytes,
             });
@@ -1002,21 +795,6 @@ impl Fleet {
         Ok(moved_total)
     }
 
-    /// Switches the wire front door to logging mode: every accepted
-    /// frame is appended to an in-memory ingest log before dispatch.
-    /// Call before the first [`Fleet::wire_push`] — frames decoded
-    /// earlier are not retroactively logged.
-    pub fn wire_enable_log(&mut self) {
-        self.wire_door = FrontDoor::with_log();
-    }
-
-    /// The serialized ingest log, when [`Fleet::wire_enable_log`] was
-    /// called.
-    #[must_use]
-    pub fn wire_log_bytes(&self) -> Option<&[u8]> {
-        self.wire_door.log_bytes()
-    }
-
     /// Opens a frame-driven wire session on the least-loaded shard,
     /// non-blocking. Returns the shard it landed on. Sessions may also
     /// auto-admit on their first decoded frame via
@@ -1031,14 +809,7 @@ impl Fleet {
         if let Some(&shard) = self.wire_routing.get(&session) {
             return Ok(shard);
         }
-        let shard = self
-            .wire_counts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.health[*i].down.load(Ordering::SeqCst))
-            .min_by_key(|(_, n)| **n)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
+        let shard = least_loaded(&self.wire_counts, &self.health).unwrap_or(0);
         match self.senders[shard].try_send(ShardCmd::WireAdmit { session }) {
             Ok(()) => {
                 self.wire_routing.insert(session, shard);
@@ -1066,37 +837,18 @@ impl Fleet {
     /// frame is already logged and [`Fleet::restart_shard`] replays the
     /// suffix.
     pub fn wire_push(&mut self, chunk: &[u8]) {
-        let mut shed: u64 = 0;
-        let Self {
-            senders,
-            health,
-            wire_door,
-            wire_routing,
-            wire_counts,
-            ..
-        } = self;
-        wire_door.push(chunk, |session, ecg, z| {
-            dispatch_wire_run(
-                senders,
-                health,
-                wire_routing,
-                wire_counts,
-                &mut shed,
-                session,
-                ecg,
-                z,
-            );
-        });
-        if shed > 0 {
-            self.rejected.add(shed);
-            self.wire_door.count_shed(shed);
-        }
+        self.through_door(|door, dispatch| door.push(chunk, dispatch));
     }
 
-    /// Feeds one already-logged frame through decode + reassembly and
-    /// shard dispatch *without* re-appending it to the log — the
-    /// suffix-replay half of fleet crash recovery.
-    fn wire_replay_frame(&mut self, frame: &[u8]) {
+    /// Runs `feed` against the front door with the shard dispatch as its
+    /// run sink — live pushes and recovery's suffix replay alike. Runs
+    /// for unknown sessions auto-admit onto the least-loaded live shard;
+    /// runs that cannot be placed, or are bound for a down shard, are
+    /// shed and counted.
+    fn through_door<R>(
+        &mut self,
+        feed: impl FnOnce(&mut FrontDoor, &mut dyn FnMut(u32, &[f64], &[f64])) -> R,
+    ) -> R {
         let mut shed: u64 = 0;
         let Self {
             senders,
@@ -1106,22 +858,41 @@ impl Fleet {
             wire_counts,
             ..
         } = self;
-        wire_door.replay_frame(frame, |session, ecg, z| {
-            dispatch_wire_run(
-                senders,
-                health,
-                wire_routing,
-                wire_counts,
-                &mut shed,
+        let out = feed(wire_door, &mut |session, ecg, z| {
+            let shard = match wire_routing.get(&session) {
+                Some(&shard) => shard,
+                None => {
+                    let Some(shard) = least_loaded(wire_counts, health) else {
+                        shed += 1;
+                        return;
+                    };
+                    if senders[shard]
+                        .try_send(ShardCmd::WireAdmit { session })
+                        .is_err()
+                    {
+                        shed += 1;
+                        return;
+                    }
+                    wire_routing.insert(session, shard);
+                    wire_counts[shard] += 1;
+                    shard
+                }
+            };
+            if health[shard].down.load(Ordering::SeqCst) {
+                shed += 1;
+                return;
+            }
+            let _ = senders[shard].send(ShardCmd::WireSamples {
                 session,
-                ecg,
-                z,
-            );
+                ecg: ecg.to_vec(),
+                z: z.to_vec(),
+            });
         });
         if shed > 0 {
             self.rejected.add(shed);
             self.wire_door.count_shed(shed);
         }
+        out
     }
 
     /// Decoder and reassembly totals of the wire front door.
@@ -1169,64 +940,44 @@ impl Fleet {
     /// * [`CoreError::FleetWorkerLost`] on a protocol violation.
     pub fn checkpoint(&mut self) -> Result<LogPosition, CoreError> {
         self.check_down()?;
-        let start = Instant::now();
-        let watermark = self
-            .wire_door
-            .log_position()
-            .ok_or_else(|| CoreError::RecoveryFailed {
+        if self.ckpt_store.is_none() {
+            return Err(CoreError::RecoveryFailed {
                 reason: "checkpointing requires durable mode (wire_enable_durable)".into(),
-            })?;
+            });
+        }
+        let start = Instant::now();
         for tx in &self.senders {
-            tx.send(ShardCmd::WireSnapshot);
+            let _ = tx.send(ShardCmd::WireSnapshot);
         }
         let mut snaps: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
         for _ in 0..self.senders.len() {
             match self.recv_event()? {
                 ShardEvent::WireSnapshotted { sessions, .. } => {
                     for s in sessions {
-                        if !s.drained.is_empty() {
-                            self.collected
-                                .entry(s.session)
-                                .or_default()
-                                .extend(s.drained);
-                        }
+                        self.keep_beats(s.session, s.drained);
                         snaps.insert(s.session, s.snapshot_bytes);
                     }
                 }
                 _ => return Err(CoreError::FleetWorkerLost { shard: 0 }),
             }
         }
-        let sessions = self
+        let store = self
+            .ckpt_store
+            .as_mut()
+            .expect("durable mode checked before the barrier");
+        // A session the reassembler knows but no shard owns (admission
+        // was shed) restores as a fresh stream.
+        let (ckpt, retired) = self
             .wire_door
-            .export_sessions()
-            .into_iter()
-            .map(|(session, resume)| SessionCheckpoint {
-                session,
-                resume,
-                // A session the reassembler knows but no shard owns
-                // (admission was shed) restores as a fresh stream.
-                snapshot: snaps.remove(&session).unwrap_or_default(),
-            })
-            .collect();
-        let ckpt = Checkpoint {
-            watermark,
-            sessions,
-        };
-        self.ckpt_store
-            .get_or_insert_with(CheckpointStore::new)
-            .append(&ckpt);
-        if let Some(prev) = self.last_ckpt.as_ref().map(|c| c.watermark) {
-            if let Some(log) = self.wire_door.segmented_log_mut() {
-                let retired = log.compact(&prev);
-                if retired > 0 {
-                    self.compactions.add(retired as u64);
-                }
-            }
+            .checkpoint(store, |session| snaps.remove(&session).unwrap_or_default())?;
+        if retired > 0 {
+            self.compactions.add(retired as u64);
         }
-        self.last_ckpt = Some(ckpt);
         if let Some(log) = self.wire_door.segmented_log() {
             self.log_segments.set(log.segment_count() as i64);
         }
+        let watermark = ckpt.watermark;
+        self.last_ckpt = Some(ckpt);
         self.checkpoints.inc();
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.checkpoint_us.record(us.max(1));
@@ -1235,12 +986,12 @@ impl Fleet {
 
     /// Rebuilds a fleet from a recovered checkpoint and the (possibly
     /// crash-cut) segmented log it watermarks: every checkpointed wire
-    /// session is restored onto a least-loaded shard from its snapshot
-    /// bytes, the reassembler resumes at the watermark, the fleet takes
-    /// ownership of the log and the store, and the log suffix past the
-    /// watermark is replayed through the normal dispatch path. Combined
-    /// with the checkpoint-drained beats the caller persisted, the
-    /// collected output is bitwise-equal to the uninterrupted run.
+    /// session's engine is restored on the control thread and placed on
+    /// a least-loaded shard, then the front door resumes at the
+    /// watermark, takes ownership of the log and replays its suffix
+    /// through the normal dispatch path; the fleet takes the store.
+    /// Combined with the checkpoint-drained beats the caller persisted,
+    /// the collected output is bitwise-equal to the uninterrupted run.
     ///
     /// # Errors
     ///
@@ -1255,35 +1006,20 @@ impl Fleet {
         checkpoint: &Checkpoint,
         log: SegmentedLog,
     ) -> Result<Self, CoreError> {
-        // Collect the suffix before the front door takes the log.
-        let mut suffix: Vec<Vec<u8>> = Vec::new();
-        log.replay_from(&checkpoint.watermark, |f| suffix.push(f.to_vec()))
-            .map_err(|e| CoreError::RecoveryFailed {
-                reason: format!("suffix replay: {e}"),
-            })?;
         let mut fleet = Self::build(config, shards, mailbox_capacity, false)?;
-        fleet.wire_door.install_segmented_log(log);
         fleet.ckpt_store = Some(store);
         for sc in &checkpoint.sessions {
-            fleet.wire_door.resume_session(sc.session, &sc.resume);
-            let shard = fleet
-                .wire_counts
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, n)| **n)
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            fleet.senders[shard].send(ShardCmd::WireRestore {
+            let stream = restore_stream(config, sc.session, &sc.snapshot)?;
+            let shard = least_loaded(&fleet.wire_counts, &fleet.health).unwrap_or(0);
+            let _ = fleet.senders[shard].send(ShardCmd::WireRestore {
                 session: sc.session,
-                snapshot_bytes: sc.snapshot.clone(),
+                stream: Box::new(stream),
             });
             fleet.wire_routing.insert(sc.session, shard);
             fleet.wire_counts[shard] += 1;
         }
         fleet.last_ckpt = Some(checkpoint.clone());
-        for frame in &suffix {
-            fleet.wire_replay_frame(frame);
-        }
+        fleet.through_door(|door, dispatch| door.recover(checkpoint, log, dispatch))?;
         Ok(fleet)
     }
 
@@ -1335,7 +1071,7 @@ impl Fleet {
     /// from the next collective call.
     pub fn inject_shard_panic(&mut self, shard: usize) {
         if let Some(tx) = self.senders.get(shard) {
-            tx.send(ShardCmd::InjectPanic);
+            let _ = tx.send(ShardCmd::InjectPanic);
         }
     }
 
@@ -1351,7 +1087,7 @@ impl Fleet {
     pub fn wire_collect(&mut self) -> Result<Vec<WireSessionResult>, CoreError> {
         self.check_down()?;
         for tx in &self.senders {
-            tx.send(ShardCmd::WireCollect);
+            let _ = tx.send(ShardCmd::WireCollect);
         }
         let mut all = Vec::new();
         for _ in 0..self.senders.len() {
@@ -1369,24 +1105,13 @@ impl Fleet {
                 r.beats = pre;
             }
         }
+        self.wire_routing.clear();
+        self.wire_counts.iter_mut().for_each(|n| *n = 0);
         // Leftovers: sessions with durably collected beats but no live
         // shard slot (salvaged from an exchange a crash aborted).
         // Synthesize their result from the last checkpoint's snapshot.
         for (session, beats) in collected {
-            let snap = self
-                .last_ckpt
-                .as_ref()
-                .and_then(|c| c.sessions.iter().find(|s| s.session == session))
-                .map(|s| s.snapshot.clone())
-                .unwrap_or_default();
-            let stream = if snap.is_empty() {
-                BeatStream::new(self.config).ok()
-            } else {
-                BeatStreamSnapshot::from_bytes(&snap)
-                    .and_then(|s| BeatStream::restore(self.config, &s))
-                    .ok()
-            };
-            let Some(stream) = stream else { continue };
+            let stream = restore_stream(self.config, session, self.checkpointed_snapshot(session))?;
             all.push(WireSessionResult {
                 session,
                 beats,
@@ -1395,8 +1120,6 @@ impl Fleet {
             });
         }
         all.sort_by_key(|r| r.session);
-        self.wire_routing.clear();
-        self.wire_counts.iter_mut().for_each(|n| *n = 0);
         Ok(all)
     }
 
@@ -1427,13 +1150,13 @@ impl Fleet {
     fn shutdown_inner(&mut self) {
         for tx in self.senders.drain(..) {
             // Non-blocking: if the mailbox is full the drop below
-            // closes it, and the worker exits after draining the
+            // disconnects it, and the worker exits after draining the
             // backlog — either way it terminates.
             let _ = tx.try_send(ShardCmd::Shutdown);
         }
         for (shard, handle) in self.handles.drain(..).enumerate() {
             // A wedged worker (declared down but never unwound) would
-            // hang this join forever; its mailbox is closed, so it
+            // hang this join forever; its mailbox is disconnected, so it
             // exits on its own if it ever wakes. Detach it instead.
             let down = self
                 .health
@@ -1521,7 +1244,7 @@ impl Fleet {
             .filter(|&i| !self.health[i].down.load(Ordering::SeqCst))
             .collect();
         for &i in &live {
-            self.senders[i].send(ShardCmd::Sync { token });
+            let _ = self.senders[i].send(ShardCmd::Sync { token });
         }
         let mut pending = vec![false; self.shards()];
         for &i in &live {
@@ -1539,25 +1262,35 @@ impl Fleet {
                 // into `collected` instead of dropping them.
                 ShardEvent::WireSnapshotted { sessions, .. } => {
                     for s in sessions {
-                        if !s.drained.is_empty() {
-                            self.collected
-                                .entry(s.session)
-                                .or_default()
-                                .extend(s.drained);
-                        }
+                        self.keep_beats(s.session, s.drained);
                     }
                 }
                 ShardEvent::WireCollected { results } => {
                     for r in results {
-                        if !r.beats.is_empty() {
-                            self.collected.entry(r.session).or_default().extend(r.beats);
-                        }
+                        self.keep_beats(r.session, r.beats);
                     }
                 }
                 _ => {}
             }
         }
         Ok(())
+    }
+
+    /// Takes ownership of beats a shard drained: they are merged back,
+    /// ahead of the shard's own, by [`Fleet::wire_collect`].
+    fn keep_beats(&mut self, session: u32, beats: Vec<QualifiedBeat>) {
+        if !beats.is_empty() {
+            self.collected.entry(session).or_default().extend(beats);
+        }
+    }
+
+    /// `session`'s engine snapshot in the last sealed checkpoint; empty
+    /// (a fresh stream) when it has none.
+    fn checkpointed_snapshot(&self, session: u32) -> &[u8] {
+        self.last_ckpt
+            .as_ref()
+            .and_then(|c| c.sessions.iter().find(|s| s.session == session))
+            .map_or(&[], |s| &s.snapshot)
     }
 
     /// Replaces a down shard's worker with a fresh incarnation and
@@ -1573,7 +1306,8 @@ impl Fleet {
     /// * [`CoreError::ShardDown`] if *another* shard went down while
     ///   re-synchronizing (restart that one too, then retry);
     /// * [`CoreError::RecoveryFailed`] when the log suffix below the
-    ///   checkpoint watermark is gone (over-compacted).
+    ///   checkpoint watermark is gone (over-compacted) or a checkpointed
+    ///   snapshot is unusable.
     pub fn restart_shard(&mut self, shard: usize) -> Result<(), CoreError> {
         if shard >= self.shards() {
             return Err(CoreError::InvalidParameter {
@@ -1582,7 +1316,7 @@ impl Fleet {
                 constraint: "restart needs an in-range shard",
             });
         }
-        let (tx, rx) = mailbox(self.mailbox_capacity);
+        let (tx, rx) = mpsc::sync_channel(self.mailbox_capacity.max(1));
         let hp = ShardHealth::new();
         self.epochs[shard] += 1;
         let handle = spawn_shard(
@@ -1594,7 +1328,7 @@ impl Fleet {
             self.event_tx.clone(),
             Arc::clone(&hp),
         );
-        // Replacing the sender drops the old one, closing the old
+        // Replacing the sender drops the old one, disconnecting the old
         // mailbox: a merely-wedged (not unwound) old worker exits on
         // its own if it ever wakes up.
         self.senders[shard] = tx;
@@ -1630,15 +1364,10 @@ impl Fleet {
             return Ok(());
         }
         for &session in &owned {
-            let snapshot_bytes = self
-                .last_ckpt
-                .as_ref()
-                .and_then(|c| c.sessions.iter().find(|s| s.session == session))
-                .map(|s| s.snapshot.clone())
-                .unwrap_or_default();
-            self.senders[shard].send(ShardCmd::WireRestore {
+            let stream = restore_stream(self.config, session, self.checkpointed_snapshot(session))?;
+            let _ = self.senders[shard].send(ShardCmd::WireRestore {
                 session,
-                snapshot_bytes,
+                stream: Box::new(stream),
             });
         }
         let Some(log) = self.wire_door.segmented_log() else {
@@ -1671,7 +1400,7 @@ impl Fleet {
             reason: format!("suffix replay: {e}"),
         })?;
         for (session, ecg, z) in runs {
-            self.senders[shard].send(ShardCmd::WireSamples { session, ecg, z });
+            let _ = self.senders[shard].send(ShardCmd::WireSamples { session, ecg, z });
         }
         Ok(())
     }
@@ -1679,7 +1408,7 @@ impl Fleet {
     fn collect_reports(&mut self, elapsed_s: f64) -> Result<Vec<ScheduleReport>, CoreError> {
         self.check_down()?;
         for tx in &self.senders {
-            tx.send(ShardCmd::Report { elapsed_s });
+            let _ = tx.send(ShardCmd::Report { elapsed_s });
         }
         let mut reports: Vec<Option<ScheduleReport>> = vec![None; self.senders.len()];
         for _ in 0..self.senders.len() {
@@ -1736,20 +1465,6 @@ mod tests {
     fn feed(offset: usize) -> SessionFeed {
         let (ecg, z) = templates();
         SessionFeed::clean(ecg, z, offset)
-    }
-
-    #[test]
-    fn mailbox_bounds_and_drains() {
-        let (tx, rx) = mailbox::<u32>(2);
-        assert!(tx.try_send(1).is_ok());
-        assert!(tx.try_send(2).is_ok());
-        assert_eq!(tx.try_send(3), Err(3));
-        assert_eq!(rx.recv(), Some(1));
-        assert!(tx.try_send(3).is_ok());
-        assert_eq!(rx.recv(), Some(2));
-        assert_eq!(rx.recv(), Some(3));
-        drop(tx);
-        assert_eq!(rx.recv(), None);
     }
 
     #[test]
@@ -1810,7 +1525,9 @@ mod tests {
         // the capacity-1 mailbox's only slot. Either way the burst
         // below cannot be drained, so a rejection is deterministic —
         // the old racy version lost to the drain loop on idle machines.
-        fleet.senders[0].send(ShardCmd::Run { ticks: 3000 });
+        fleet.senders[0]
+            .send(ShardCmd::Run { ticks: 3000 })
+            .unwrap();
         let mut rejected = false;
         for i in 0..4 {
             match fleet.admit(feed(i * 131)) {
@@ -1831,6 +1548,39 @@ mod tests {
             _ => panic!("expected RunDone from the parked worker"),
         }
         fleet.shutdown();
+    }
+
+    #[test]
+    fn shutdown_and_drop_return_with_a_parked_full_mailbox() {
+        let config = PipelineConfig::paper_default(250.0);
+        for by_drop in [false, true] {
+            // Park the only worker in a long Run (as in the backpressure
+            // test) and fill its capacity-1 mailbox behind it.
+            let mut fleet = Fleet::new(config, 1, 1).unwrap();
+            fleet.admit(feed(0)).unwrap();
+            fleet.senders[0]
+                .send(ShardCmd::Run { ticks: 3000 })
+                .unwrap();
+            let full = (1..8).any(|i| fleet.admit(feed(i * 131)).is_err());
+            assert!(full, "capacity-1 mailbox never filled");
+            // The worker thread holds the only other handle to its
+            // health record; it is released once the thread exits.
+            let worker = Arc::clone(&fleet.health[0]);
+            let (done_tx, done_rx) = mpsc::channel();
+            let teardown = std::thread::spawn(move || {
+                if by_drop {
+                    drop(fleet);
+                } else {
+                    fleet.shutdown();
+                }
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(120))
+                .expect("teardown hung on a full mailbox");
+            teardown.join().unwrap();
+            assert_eq!(Arc::strong_count(&worker), 1, "worker thread still running");
+        }
     }
 
     #[test]
@@ -2135,6 +1885,54 @@ mod tests {
                 "session {} diverged across process restart",
                 tail.session
             );
+        }
+    }
+
+    #[test]
+    fn recover_rejects_an_undecodable_session_snapshot() {
+        use cardiotouch_ingest::SessionEncoder;
+
+        let config = PipelineConfig::paper_default(250.0);
+        let (ecg, z) = templates();
+        let frame_len = 125;
+        let mut encoders: Vec<SessionEncoder> = (0..3).map(SessionEncoder::new).collect();
+        let mut fleet = Fleet::new(config, 2, 64).unwrap();
+        fleet.wire_enable_durable(SegmentPolicy {
+            max_bytes: 16 * 1024,
+            max_frames: 32,
+        });
+        for s in 0..4 {
+            let mut buf = Vec::new();
+            for (i, enc) in encoders.iter_mut().enumerate() {
+                let off = i * 977 + s * 250;
+                for c in 0..2 {
+                    let at = off + c * frame_len;
+                    enc.push_frame(&ecg[at..at + frame_len], &z[at..at + frame_len], &mut buf)
+                        .unwrap();
+                }
+            }
+            fleet.wire_push(&buf);
+        }
+        fleet.checkpoint().unwrap();
+        let store_bytes = fleet.checkpoint_store_bytes().unwrap().to_vec();
+        let log = fleet.wire_segmented_log().unwrap().clone();
+        drop(fleet);
+
+        let mut sealed = cardiotouch_ingest::recover_latest(&store_bytes)
+            .unwrap()
+            .expect("sealed checkpoint must recover")
+            .checkpoint;
+        let victim = &mut sealed.sessions[1];
+        assert!(!victim.snapshot.is_empty());
+        victim.snapshot[0] ^= 0xFF;
+        let session = victim.session;
+        let (store, _) = CheckpointStore::from_valid_prefix(&store_bytes).unwrap();
+        match Fleet::recover(config, 2, 64, store, &sealed, log) {
+            Err(CoreError::RecoveryFailed { reason }) => {
+                assert!(reason.contains(&format!("session {session}")), "{reason}");
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+            Ok(_) => panic!("a corrupt snapshot recovered without error"),
         }
     }
 

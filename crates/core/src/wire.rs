@@ -9,8 +9,17 @@
 //! frame sequence through the identical reassembly policy and the run
 //! reproduces bitwise.
 //!
-//! [`WireHub`] adds the session layer: one [`BeatStream`] per wire
-//! session, fed through [`BeatStream::push_qualified`]. Because the
+//! [`FrontDoor`] also owns the durable decisions of wire serving:
+//! `FrontDoor::checkpoint` takes the watermark, assembles the
+//! [`Checkpoint`] from the reassembler's resume states plus the engine
+//! snapshots its caller supplies, appends it to the store and applies
+//! lag-by-one compaction; `FrontDoor::recover` resumes the reassembler
+//! from a checkpoint, takes over the log and replays its suffix.
+//! `restore_stream` reopens each checkpointed engine. Both serving
+//! paths — [`WireHub`] and [`crate::fleet::Fleet`] — are thin callers.
+//!
+//! [`WireHub`] is the single-threaded reference: one [`BeatStream`] per
+//! wire session, fed through [`BeatStream::push_qualified`]. Because the
 //! stream engine is chunk-invariant, a lossless wire delivers exactly
 //! the sample stream the in-memory vector path would have pushed — the
 //! emitted beats are bit-identical. Wire loss surfaces as NaN runs
@@ -114,6 +123,10 @@ pub struct FrontDoor {
     log: Option<LogSink>,
     counters: IngestCounters,
     flushed: FlushedTotals,
+    /// Watermark of the last sealed (or recovered-from) checkpoint: the
+    /// compaction target when the *next* one is sealed (lag-by-one, see
+    /// `cardiotouch_ingest::segment`).
+    last_watermark: Option<LogPosition>,
 }
 
 impl Default for FrontDoor {
@@ -132,6 +145,7 @@ impl FrontDoor {
             log: None,
             counters: IngestCounters::new(),
             flushed: FlushedTotals::default(),
+            last_watermark: None,
         }
     }
 
@@ -153,16 +167,19 @@ impl FrontDoor {
         door
     }
 
-    /// Installs an existing segmented log (recovery continues the log
-    /// it crashed with), replacing any current sink.
-    pub fn install_segmented_log(&mut self, log: SegmentedLog) {
-        self.flushed.appended = log.frames();
-        self.log = Some(LogSink::Segmented(log));
-    }
-
     /// Pushes a chunk of wire bytes. `sink(session, ecg, z)` fires once
     /// per reassembled sample run, in deterministic arrival order.
-    pub fn push<F>(&mut self, chunk: &[u8], mut sink: F)
+    pub fn push<F>(&mut self, chunk: &[u8], sink: F)
+    where
+        F: FnMut(u32, &[f64], &[f64]),
+    {
+        self.feed(chunk, true, sink);
+    }
+
+    /// Decode + reassembly; `append` logs each accepted frame first. The
+    /// suffix replay of [`FrontDoor::recover`] passes `false`: those
+    /// frames are in the log by definition.
+    fn feed<F>(&mut self, bytes: &[u8], append: bool, mut sink: F)
     where
         F: FnMut(u32, &[f64], &[f64]),
     {
@@ -172,26 +189,13 @@ impl FrontDoor {
             log,
             ..
         } = self;
-        decoder.push(chunk, |frame| {
+        let mut log = log.as_mut().filter(|_| append);
+        decoder.push(bytes, |frame| {
             if let Some(log) = log.as_mut() {
                 log.append(frame.as_bytes());
             }
             assembler.accept(&frame, &mut sink);
         });
-        self.flush_counters();
-    }
-
-    /// Feeds one already-logged frame through decode + reassembly
-    /// *without* re-appending it to the log — the suffix-replay half of
-    /// crash recovery, where the frame is in the log by definition.
-    pub fn replay_frame<F>(&mut self, frame: &[u8], mut sink: F)
-    where
-        F: FnMut(u32, &[f64], &[f64]),
-    {
-        let Self {
-            decoder, assembler, ..
-        } = self;
-        decoder.push(frame, |f| assembler.accept(&f, &mut sink));
         self.flush_counters();
     }
 
@@ -258,21 +262,6 @@ impl FrontDoor {
         }
     }
 
-    /// Mutable segmented-log access (compaction).
-    pub fn segmented_log_mut(&mut self) -> Option<&mut SegmentedLog> {
-        match &mut self.log {
-            Some(LogSink::Segmented(log)) => Some(log),
-            _ => None,
-        }
-    }
-
-    /// The segmented log's current end — what a checkpoint records as
-    /// its watermark. `None` without a segmented sink.
-    #[must_use]
-    pub fn log_position(&self) -> Option<LogPosition> {
-        self.segmented_log().map(SegmentedLog::position)
-    }
-
     /// Every reassembly session's resume state, ordered by session id —
     /// the transport half of a checkpoint.
     #[must_use]
@@ -280,9 +269,86 @@ impl FrontDoor {
         self.assembler.export_sessions()
     }
 
-    /// Restores one session's reassembly state (recovery).
-    pub fn resume_session(&mut self, session: u32, state: &SessionResume) {
-        self.assembler.resume_session(session, state);
+    /// Seals one checkpoint at the current log end: every reassembly
+    /// session's resume state, with the engine snapshot `snapshot(id)`
+    /// supplies (empty bytes restore as a fresh stream), is appended to
+    /// `store`. The log is then compacted to the *previous* checkpoint's
+    /// watermark — lag-by-one: a crash mid-append falls back one
+    /// checkpoint, whose suffix must still be replayable. Returns the
+    /// sealed checkpoint and the number of segments compaction retired.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::RecoveryFailed`] without a segmented log.
+    pub(crate) fn checkpoint<F>(
+        &mut self,
+        store: &mut CheckpointStore,
+        mut snapshot: F,
+    ) -> Result<(Checkpoint, usize), CoreError>
+    where
+        F: FnMut(u32) -> Vec<u8>,
+    {
+        let Some(LogSink::Segmented(log)) = self.log.as_mut() else {
+            return Err(CoreError::RecoveryFailed {
+                reason: "checkpointing requires a segmented ingest log".into(),
+            });
+        };
+        let watermark = log.position();
+        let sessions = self
+            .assembler
+            .export_sessions()
+            .into_iter()
+            .map(|(session, resume)| SessionCheckpoint {
+                session,
+                resume,
+                snapshot: snapshot(session),
+            })
+            .collect();
+        let ckpt = Checkpoint {
+            watermark,
+            sessions,
+        };
+        store.append(&ckpt);
+        let retired = self
+            .last_watermark
+            .replace(watermark)
+            .map_or(0, |prev| log.compact(&prev));
+        Ok((ckpt, retired))
+    }
+
+    /// Resumes a fresh door from a recovered checkpoint and the (possibly
+    /// crash-cut) segmented log it watermarks: restores every session's
+    /// reassembly window, replays the log suffix past the watermark
+    /// through `sink` without re-appending it, then takes ownership of
+    /// the log. The caller restores the engines (see `restore_stream`)
+    /// before calling, so replayed runs land on resumed streams.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::RecoveryFailed`] when the watermark lies below the
+    /// oldest retained segment or the suffix does not replay.
+    pub(crate) fn recover<F>(
+        &mut self,
+        checkpoint: &Checkpoint,
+        log: SegmentedLog,
+        mut sink: F,
+    ) -> Result<(), CoreError>
+    where
+        F: FnMut(u32, &[f64], &[f64]),
+    {
+        for sc in &checkpoint.sessions {
+            self.assembler.resume_session(sc.session, &sc.resume);
+        }
+        log.replay_from(&checkpoint.watermark, |frame| {
+            self.feed(frame, false, &mut sink);
+        })
+        .map_err(|e| CoreError::RecoveryFailed {
+            reason: format!("suffix replay: {e}"),
+        })?;
+        self.flushed.appended = log.frames();
+        self.log = Some(LogSink::Segmented(log));
+        self.last_watermark = Some(checkpoint.watermark);
+        Ok(())
     }
 
     /// Combined capacity of the decoder carry buffer and reassembler
@@ -346,23 +412,54 @@ struct WireSession {
     beats: Vec<QualifiedBeat>,
 }
 
+impl WireSession {
+    fn new(stream: BeatStream) -> Self {
+        Self {
+            stream,
+            beats: Vec::new(),
+        }
+    }
+}
+
 /// Per-session beats drained at a checkpoint — durably covered, so the
 /// caller owns them from that point on.
 pub type DrainedBeats = Vec<(u32, Vec<QualifiedBeat>)>;
 
+/// Reopens one checkpointed session's engine: empty `snapshot` bytes (a
+/// session no engine owned yet) open a fresh stream, anything else must
+/// decode and restore under `config`. Every recovery path — fleet
+/// restart, cold start and the single-threaded hub — goes through here,
+/// so an unusable snapshot is an error, never a silently lost session.
+///
+/// # Errors
+///
+/// [`CoreError::RecoveryFailed`] naming the session when the bytes do
+/// not decode or do not restore; engine-construction errors for an
+/// invalid `config`.
+pub(crate) fn restore_stream(
+    config: PipelineConfig,
+    session: u32,
+    snapshot: &[u8],
+) -> Result<BeatStream, CoreError> {
+    if snapshot.is_empty() {
+        return BeatStream::new(config);
+    }
+    BeatStreamSnapshot::from_bytes(snapshot)
+        .and_then(|snap| BeatStream::restore(config, &snap))
+        .map_err(|e| CoreError::RecoveryFailed {
+            reason: format!("session {session} snapshot: {e}"),
+        })
+}
+
 /// Single-threaded wire serving: a [`FrontDoor`] feeding one
-/// [`BeatStream`] per session. Used by the conformance replay leg and
-/// as the reference for the fleet wire path; sessions auto-admit on
-/// their first frame.
+/// [`BeatStream`] per session. The reference the fleet wire path is
+/// tested against, and what the conformance replay and recovery legs
+/// run; sessions auto-admit on their first frame.
 pub struct WireHub {
     door: FrontDoor,
     config: PipelineConfig,
     sessions: BTreeMap<u32, WireSession>,
     deferred: Option<CoreError>,
-    /// Watermark of the last sealed checkpoint: the compaction target
-    /// when the *next* one is sealed (lag-by-one, see
-    /// `cardiotouch_ingest::segment`).
-    last_watermark: Option<LogPosition>,
 }
 
 impl std::fmt::Debug for WireHub {
@@ -413,8 +510,33 @@ impl WireHub {
             config,
             sessions: BTreeMap::new(),
             deferred: None,
-            last_watermark: None,
         })
+    }
+
+    /// Splits the hub into its front door and the per-run sink both live
+    /// pushes and suffix replay feed: unknown sessions auto-admit, and
+    /// the first engine error is deferred for the caller to report.
+    fn door_and_sink(&mut self) -> (&mut FrontDoor, impl FnMut(u32, &[f64], &[f64]) + '_) {
+        let Self {
+            door,
+            config,
+            sessions,
+            deferred,
+        } = self;
+        let config = *config;
+        let sink = move |session, ecg: &[f64], z: &[f64]| {
+            if deferred.is_some() {
+                return;
+            }
+            let slot = sessions.entry(session).or_insert_with(|| {
+                WireSession::new(BeatStream::new(config).expect("config probed at construction"))
+            });
+            match slot.stream.push_qualified(ecg, z) {
+                Ok(mut beats) => slot.beats.append(&mut beats),
+                Err(e) => *deferred = Some(e),
+            }
+        };
+        (door, sink)
     }
 
     /// Pushes a chunk of wire bytes through decode, log, reassembly and
@@ -426,26 +548,9 @@ impl WireHub {
     /// on reassembler output (equal-length channels by construction),
     /// but a failure would be reported here rather than swallowed.
     pub fn push(&mut self, chunk: &[u8]) -> Result<(), CoreError> {
-        let config = self.config;
-        let sessions = &mut self.sessions;
-        let deferred = &mut self.deferred;
-        self.door.push(chunk, |session, ecg, z| {
-            if deferred.is_some() {
-                return;
-            }
-            let slot = sessions.entry(session).or_insert_with(|| WireSession {
-                stream: BeatStream::new(config).expect("config probed at construction"),
-                beats: Vec::new(),
-            });
-            match slot.stream.push_qualified(ecg, z) {
-                Ok(mut beats) => slot.beats.append(&mut beats),
-                Err(e) => *deferred = Some(e),
-            }
-        });
-        match self.deferred.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let (door, sink) = self.door_and_sink();
+        door.push(chunk, sink);
+        self.deferred.take().map_or(Ok(()), Err)
     }
 
     /// Sessions seen so far.
@@ -481,13 +586,9 @@ impl WireHub {
         self.door.log_bytes()
     }
 
-    /// Seals one checkpoint: appends every session's reassembly state
-    /// and engine snapshot at the current log watermark to `store`,
-    /// compacts the log to the *previous* checkpoint's watermark
-    /// (lag-by-one: a crash mid-append falls back one checkpoint, whose
-    /// suffix must still be on disk), and drains the beats emitted
-    /// since the last checkpoint — they are durably covered now, so the
-    /// caller owns them.
+    /// Seals one checkpoint into `store` (`FrontDoor::checkpoint`) and
+    /// drains the beats emitted since the last one — they are durably
+    /// covered now, so the caller owns them.
     ///
     /// # Errors
     ///
@@ -496,50 +597,27 @@ impl WireHub {
         &mut self,
         store: &mut CheckpointStore,
     ) -> Result<(LogPosition, DrainedBeats), CoreError> {
-        let watermark = self
-            .door
-            .log_position()
-            .ok_or_else(|| CoreError::RecoveryFailed {
-                reason: "checkpointing requires a segmented ingest log".into(),
-            })?;
-        let sessions = self
-            .door
-            .export_sessions()
-            .into_iter()
-            .map(|(session, resume)| SessionCheckpoint {
-                session,
-                resume,
-                snapshot: self
-                    .sessions
-                    .get(&session)
-                    .map_or_else(Vec::new, |s| s.stream.snapshot().to_bytes()),
-            })
-            .collect();
-        store.append(&Checkpoint {
-            watermark,
-            sessions,
-        });
-        if let Some(prev) = self.last_watermark {
-            if let Some(log) = self.door.segmented_log_mut() {
-                log.compact(&prev);
-            }
-        }
-        self.last_watermark = Some(watermark);
+        let sessions = &self.sessions;
+        let (ckpt, _) = self.door.checkpoint(store, |session| {
+            sessions
+                .get(&session)
+                .map_or_else(Vec::new, |s| s.stream.snapshot().to_bytes())
+        })?;
         let drained = self
             .sessions
             .iter_mut()
             .map(|(&session, slot)| (session, std::mem::take(&mut slot.beats)))
             .filter(|(_, beats)| !beats.is_empty())
             .collect();
-        Ok((watermark, drained))
+        Ok((ckpt.watermark, drained))
     }
 
     /// Rebuilds a hub from a recovered checkpoint and the (possibly
     /// crash-cut) segmented log it watermarks: restores every session's
-    /// engine snapshot and reassembly window, takes ownership of the
-    /// log, then replays the suffix past the watermark. Beats the
-    /// replay re-emits accumulate in the sessions exactly as the
-    /// uninterrupted run would have emitted them after the checkpoint.
+    /// engine (`restore_stream`), then resumes the front door and
+    /// replays the suffix (`FrontDoor::recover`). Beats the replay
+    /// re-emits accumulate in the sessions exactly as the uninterrupted
+    /// run would have emitted them after the checkpoint.
     ///
     /// # Errors
     ///
@@ -550,58 +628,17 @@ impl WireHub {
         checkpoint: &Checkpoint,
         log: SegmentedLog,
     ) -> Result<Self, CoreError> {
-        let mut suffix: Vec<Vec<u8>> = Vec::new();
-        log.replay_from(&checkpoint.watermark, |f| suffix.push(f.to_vec()))
-            .map_err(|e| CoreError::RecoveryFailed {
-                reason: format!("suffix replay: {e}"),
-            })?;
         let mut hub = Self::build(config, FrontDoor::new())?;
-        hub.door.install_segmented_log(log);
         for sc in &checkpoint.sessions {
-            hub.door.resume_session(sc.session, &sc.resume);
-            let stream = if sc.snapshot.is_empty() {
-                BeatStream::new(config).expect("config probed at construction")
-            } else {
-                let snap = BeatStreamSnapshot::from_bytes(&sc.snapshot).map_err(|e| {
-                    CoreError::RecoveryFailed {
-                        reason: format!("session {} snapshot: {e}", sc.session),
-                    }
-                })?;
-                BeatStream::restore(config, &snap).map_err(|e| CoreError::RecoveryFailed {
-                    reason: format!("session {} restore: {e}", sc.session),
-                })?
-            };
-            hub.sessions.insert(
-                sc.session,
-                WireSession {
-                    stream,
-                    beats: Vec::new(),
-                },
-            );
+            let stream = restore_stream(config, sc.session, &sc.snapshot)?;
+            hub.sessions.insert(sc.session, WireSession::new(stream));
         }
-        let config = hub.config;
-        let sessions = &mut hub.sessions;
-        let deferred = &mut hub.deferred;
-        for frame in &suffix {
-            hub.door.replay_frame(frame, |session, ecg, z| {
-                if deferred.is_some() {
-                    return;
-                }
-                let slot = sessions.entry(session).or_insert_with(|| WireSession {
-                    stream: BeatStream::new(config).expect("config probed at construction"),
-                    beats: Vec::new(),
-                });
-                match slot.stream.push_qualified(ecg, z) {
-                    Ok(mut beats) => slot.beats.append(&mut beats),
-                    Err(e) => *deferred = Some(e),
-                }
-            });
+        let (door, sink) = hub.door_and_sink();
+        door.recover(checkpoint, log, sink)?;
+        match hub.deferred.take() {
+            Some(e) => Err(e),
+            None => Ok(hub),
         }
-        if let Some(e) = hub.deferred.take() {
-            return Err(e);
-        }
-        hub.last_watermark = Some(checkpoint.watermark);
-        Ok(hub)
     }
 
     /// The segmented log, when durable logging is enabled.
