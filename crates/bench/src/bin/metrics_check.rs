@@ -12,14 +12,10 @@
 //! section; for those the `core.fleet.*` instrumentation must be live
 //! (admissions and migrations fired, per-shard hop histograms
 //! populated) and the declared scaling efficiency must clear its own
-//! floor. Documents produced with `perf_bench --lanes` carry a `lanes`
-//! section; for those the `dsp.lanes.*` instrumentation must show lane
-//! groups actually formed (groups and grouped sessions fired, the
-//! scalar-fallback counter registered) and the declared lane-FIR
-//! throughput multiple must clear its own floor. Documents produced
-//! with `perf_bench --ingest` carry an `ingest` section; for those the
-//! wire front-door counters (`ingest.*`) and the BLE parameter-uplink
-//! counters (`device.uplink.*`) must be live, the declared decode
+//! floor. Documents produced with `perf_bench --ingest` carry an
+//! `ingest` section; for those the wire front-door counters
+//! (`ingest.*`) and the BLE parameter-uplink counters
+//! (`device.uplink.*`) must be live, the declared decode
 //! throughput must clear its real-time floor, and the document must
 //! attest an alloc-free steady state. Documents produced with
 //! `perf_bench --durability` carry a `durability` section; for those
@@ -81,18 +77,6 @@ const FLEET_REQUIRED_COUNTERS: &[&str] = &["core.fleet.enqueued", "core.fleet.mi
 /// Fleet counters that must be registered but may legitimately be zero
 /// (a run without admission pressure rejects nothing).
 const FLEET_PRESENT_COUNTERS: &[&str] = &["core.fleet.rejected"];
-
-/// Counters the lane engine must have incremented whenever the
-/// document carries a `lanes` section (the run was `perf_bench
-/// --lanes`): its scheduler leg co-schedules same-config sessions into
-/// lane groups, so zero groups means the grouping path silently
-/// stopped engaging.
-const LANE_REQUIRED_COUNTERS: &[&str] = &["dsp.lanes.groups", "dsp.lanes.sessions_grouped"];
-
-/// Lane counters that must be registered but may legitimately be zero
-/// (a session count that divides evenly by the lane width leaves no
-/// scalar remainder).
-const LANE_PRESENT_COUNTERS: &[&str] = &["dsp.lanes.scalar_fallbacks"];
 
 /// Counters the wire front door and the BLE parameter uplink must have
 /// incremented whenever the document carries an `ingest` section (the
@@ -312,45 +296,6 @@ fn check(doc: &Value) -> Result<(), String> {
         eprintln!(
             "fleet run ok: {shards:.0} shards, scaling efficiency {efficiency:.3} (floor {floor})"
         );
-    }
-    if let Some(lanes) = doc.get("lanes") {
-        for name in LANE_REQUIRED_COUNTERS {
-            let v = counters
-                .get(*name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("counter `{name}` missing from a lanes run"))?;
-            if v <= 0.0 {
-                return Err(format!(
-                    "counter `{name}` is {v} in a lanes run, expected > 0"
-                ));
-            }
-        }
-        for name in LANE_PRESENT_COUNTERS {
-            if counters.get(*name).and_then(Value::as_f64).is_none() {
-                return Err(format!("counter `{name}` missing from a lanes run"));
-            }
-        }
-        let width = lanes
-            .get("width")
-            .and_then(Value::as_f64)
-            .ok_or("missing lanes.width")?;
-        if width < 1.0 {
-            return Err(format!("lanes.width is {width}"));
-        }
-        let multiple = lanes
-            .get("fir_multiple")
-            .and_then(Value::as_f64)
-            .ok_or("missing lanes.fir_multiple")?;
-        let floor = lanes
-            .get("fir_multiple_floor")
-            .and_then(Value::as_f64)
-            .ok_or("missing lanes.fir_multiple_floor")?;
-        if !multiple.is_finite() || multiple < floor {
-            return Err(format!(
-                "lane FIR multiple {multiple:.2}x is below the {floor}x floor"
-            ));
-        }
-        eprintln!("lanes run ok: width {width:.0}, FIR multiple {multiple:.2}x (floor {floor}x)");
     }
     if let Some(ingest) = doc.get("ingest") {
         for name in INGEST_REQUIRED_COUNTERS {

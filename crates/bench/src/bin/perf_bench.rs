@@ -21,7 +21,8 @@
 //! scaling leg (schema v5 `fleet` section): the same session workload
 //! through 1 shard and [`FLEET_SHARDS`] shards of `cardiotouch::fleet`,
 //! plus a live snapshot-codec migration and a rebalance. The run aborts
-//! if scaling efficiency — speedup normalized by
+//! if scaling efficiency — the median speedup over [`FLEET_PAIRS`]
+//! interleaved single/sharded pairs, normalized by
 //! `min(shards, available_parallelism)` — falls below
 //! [`FLEET_EFFICIENCY_FLOOR`]; normalizing by the host's actual
 //! parallelism keeps the gate meaningful on single-core CI runners
@@ -32,19 +33,9 @@
 //! histogram the run populated) plus the measured throughput overhead of
 //! the instrumentation itself (incremental engine re-timed with the
 //! registry's global gate off). Full (non-smoke) runs abort if that
-//! overhead exceeds [`OBS_OVERHEAD_BUDGET_PCT`].
-//!
-//! `--lanes` adds the batched-DSP leg (schema v6 `lanes` section): each
-//! streaming kernel timed scalar (`LANE_WIDTH` independent instances,
-//! one session at a time) against its lane-grouped twin
-//! (`dsp::streaming::lanes`, one instance hopping `LANE_WIDTH` sessions
-//! per sample), plus a lane-grouped `SessionScheduler` run over a
-//! deliberately ragged session count timed against the scalar
-//! scheduler on the identical workload — asserting the two emit the
-//! same beat count, per the lane engine's bitwise contract. The run
-//! aborts if the lane FIR fails to reach [`LANE_FIR_MULTIPLE_FLOOR`]×
-//! scalar throughput: the shared tap loop with `LANE_WIDTH` independent
-//! accumulators is the whole point of the layout.
+//! overhead exceeds [`OBS_OVERHEAD_BUDGET_PCT`]. Schema v9 renames the
+//! multi-session row to `streaming.scheduler_one_core` (one scheduler on
+//! one thread) and adds `fleet.pairs`.
 //!
 //! `--ingest` adds the wire front-door leg (schema v7 `ingest`
 //! section): an [`INGEST_SESSIONS`]-session multiplexed wire stream
@@ -82,7 +73,7 @@ use cardiotouch::config::PipelineConfig;
 use cardiotouch::experiment::{run_position_study, StudyConfig};
 use cardiotouch::fleet::Fleet;
 use cardiotouch::pipeline::Pipeline;
-use cardiotouch::scheduler::{SessionFeed, SessionScheduler, LANE_WIDTH};
+use cardiotouch::scheduler::{SessionFeed, SessionScheduler};
 use cardiotouch::stream::{BeatStream, ReanalysisBeatStream};
 use cardiotouch::wire::{FrontDoor, WireHub};
 use cardiotouch_device::uplink::{
@@ -90,10 +81,6 @@ use cardiotouch_device::uplink::{
 };
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::diff;
-use cardiotouch_dsp::streaming::lanes::{LaneBiquad, LaneCascade, LaneDerivative, LaneFir};
-use cardiotouch_dsp::streaming::{
-    StatefulBiquad, StreamingCascade, StreamingDerivative, StreamingFir,
-};
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{filtfilt_fir_into, filtfilt_iir_into, ZeroPhaseScratch};
 use cardiotouch_ingest::{
@@ -114,6 +101,11 @@ const DEGRADED_OVERHEAD_BUDGET_PCT: f64 = 150.0;
 
 /// Shard count for the `--fleet` scaling leg.
 const FLEET_SHARDS: usize = 4;
+
+/// Interleaved single-shard/sharded run pairs behind the `--fleet`
+/// gate; the gate reads their median speedup. Odd, so the median is
+/// one measured pair.
+const FLEET_PAIRS: usize = 9;
 
 /// Concurrent wire sessions multiplexed into the `--ingest` leg's
 /// encoded byte stream.
@@ -164,12 +156,6 @@ const RECOVERY_BUDGET_MS: f64 = 2000.0;
 /// latency histogram is a cached handle recorded once per hop, so
 /// anything past 2 % means a metrics call crept into a per-sample loop.
 const OBS_OVERHEAD_BUDGET_PCT: f64 = 2.0;
-
-/// Minimum lane-FIR throughput multiple over the scalar FIR (`--lanes`
-/// aborts below this). The scalar kernel's tap loop is one dependent
-/// accumulation chain; the lane kernel runs `LANE_WIDTH` independent
-/// chains per tap, so ≥ 2× is expected on any superscalar core.
-const LANE_FIR_MULTIPLE_FLOOR: f64 = 2.0;
 
 /// Minimum scaling efficiency for the `--fleet` leg:
 /// `speedup / min(FLEET_SHARDS, available_parallelism)`. On a host with
@@ -289,7 +275,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut print_metrics = false;
     let mut with_faults = false;
     let mut with_fleet = false;
-    let mut with_lanes = false;
     let mut with_ingest = false;
     let mut with_durability = false;
     for arg in std::env::args().skip(1) {
@@ -301,12 +286,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             with_faults = true;
         } else if arg == "--fleet" {
             with_fleet = true;
-        } else if arg == "--lanes" {
-            with_lanes = true;
         } else if arg == "--ingest" {
             with_ingest = true;
         } else if arg == "--durability" {
             with_durability = true;
+        } else if arg.starts_with("--") {
+            return Err(format!("perf_bench: unknown flag `{arg}`").into());
         } else {
             out_path = Some(arg);
         }
@@ -470,7 +455,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ));
     }
 
-    // --- Multi-session scheduler ------------------------------------------
+    // --- One-core multi-session scheduler ---------------------------------
+    // One `SessionScheduler` ticks every session on this thread, so the
+    // row is a one-core capacity figure; multi-core serving is the
+    // `--fleet` leg.
     let fleet = if smoke { 16 } else { 128 };
     let ticks = if smoke { 5 } else { 15 };
     let ecg_arc = Arc::new(ecg.to_vec());
@@ -481,212 +469,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scheduler = SessionScheduler::new(config, feeds)?;
     let sched = scheduler.run(ticks)?;
 
-    // --- Lane-batched DSP kernels (gated behind --lanes) ------------------
-    // Equal total work on both sides: the scalar row runs LANE_WIDTH
-    // independent kernel instances one session at a time (how the scalar
-    // scheduler visits sessions); the lane row runs one SoA kernel over
-    // LANE_WIDTH interleaved sessions. Outputs feed `black_box` so the
-    // optimizer cannot delete either loop.
-    let lanes_json = if with_lanes {
-        let z_cols: Vec<[f64; LANE_WIDTH]> = z.iter().map(|&x| [x; LANE_WIDTH]).collect();
-        let lane_samples = n * LANE_WIDTH;
-
-        let fir_scalar = time_kernel("fir32_stream_scalar_x8", lane_samples, min_elapsed, || {
-            let mut acc = 0.0;
-            for _ in 0..LANE_WIDTH {
-                let mut k = StreamingFir::new(Arc::clone(&fir));
-                for &x in z {
-                    acc += k.push(x);
-                }
-            }
-            black_box(acc);
-        });
-        let fir_lane = time_kernel("fir32_stream_lane8", lane_samples, min_elapsed, || {
-            let mut k = LaneFir::<LANE_WIDTH>::new(Arc::clone(&fir));
-            let mut lane_out = [0.0; LANE_WIDTH];
-            let mut acc = 0.0;
-            for col in &z_cols {
-                k.push(col, &mut lane_out);
-                acc += lane_out[0];
-            }
-            black_box(acc);
-        });
-        let fir_multiple = fir_lane.samples_per_sec() / fir_scalar.samples_per_sec().max(1e-12);
-        assert!(
-            fir_multiple >= LANE_FIR_MULTIPLE_FLOOR,
-            "lane FIR multiple {fir_multiple:.2}x is below the \
-             {LANE_FIR_MULTIPLE_FLOOR:.0}x floor"
-        );
-
-        let section = butter.sections()[0];
-        let biquad_scalar =
-            time_kernel("biquad_stream_scalar_x8", lane_samples, min_elapsed, || {
-                let mut acc = 0.0;
-                for _ in 0..LANE_WIDTH {
-                    let mut k = StatefulBiquad::new(section);
-                    for &x in z {
-                        acc += k.push(x);
-                    }
-                }
-                black_box(acc);
-            });
-        let biquad_lane = time_kernel("biquad_stream_lane8", lane_samples, min_elapsed, || {
-            let mut k = LaneBiquad::<LANE_WIDTH>::new(section);
-            let mut acc = 0.0;
-            for col in &z_cols {
-                let mut c = *col;
-                k.push(&mut c);
-                acc += c[0];
-            }
-            black_box(acc);
-        });
-        let biquad_multiple =
-            biquad_lane.samples_per_sec() / biquad_scalar.samples_per_sec().max(1e-12);
-
-        let cascade_scalar = time_kernel(
-            "cascade4_stream_scalar_x8",
-            lane_samples,
-            min_elapsed,
-            || {
-                let mut acc = 0.0;
-                for _ in 0..LANE_WIDTH {
-                    let mut k = StreamingCascade::new(Arc::clone(&butter));
-                    for &x in z {
-                        acc += k.push(x);
-                    }
-                }
-                black_box(acc);
-            },
-        );
-        let cascade_lane = time_kernel("cascade4_stream_lane8", lane_samples, min_elapsed, || {
-            let mut k = LaneCascade::<LANE_WIDTH>::new(Arc::clone(&butter));
-            let mut acc = 0.0;
-            for col in &z_cols {
-                let mut c = *col;
-                k.push(&mut c);
-                acc += c[0];
-            }
-            black_box(acc);
-        });
-        let cascade_multiple =
-            cascade_lane.samples_per_sec() / cascade_scalar.samples_per_sec().max(1e-12);
-
-        let deriv_scalar = time_kernel(
-            "derivative_stream_scalar_x8",
-            lane_samples,
-            min_elapsed,
-            || {
-                let mut acc = 0.0;
-                for _ in 0..LANE_WIDTH {
-                    let mut k = StreamingDerivative::new(fs);
-                    for &x in z {
-                        acc += k.push(x).unwrap_or(0.0);
-                    }
-                }
-                black_box(acc);
-            },
-        );
-        let deriv_lane = time_kernel("derivative_stream_lane8", lane_samples, min_elapsed, || {
-            let mut k = LaneDerivative::<LANE_WIDTH>::new(fs);
-            let mut acc = 0.0;
-            for col in &z_cols {
-                let outs = k.push(col);
-                acc += outs[0].unwrap_or(0.0);
-            }
-            black_box(acc);
-        });
-        let deriv_multiple =
-            deriv_lane.samples_per_sec() / deriv_scalar.samples_per_sec().max(1e-12);
-
-        // Lane-grouped scheduler vs scalar scheduler on the identical
-        // workload. The session count is deliberately ragged (not a
-        // multiple of LANE_WIDTH) so the remainder exercises the scalar
-        // fallback every tick alongside the grouped units.
-        let lane_sessions = if smoke { 12 } else { 28 };
-        let lane_ticks = if smoke { 5 } else { 15 };
-        let make_feeds = || -> Vec<SessionFeed> {
-            (0..lane_sessions)
-                .map(|i| {
-                    SessionFeed::clean(Arc::clone(&ecg_arc), Arc::clone(&z_arc), (i * 977) % n)
-                })
-                .collect()
-        };
-        let mut scalar_sched = SessionScheduler::new(config, make_feeds())?;
-        let t = Instant::now();
-        let scalar_report = scalar_sched.run(lane_ticks)?;
-        let sched_scalar_s = t.elapsed().as_secs_f64();
-        let mut lane_sched = SessionScheduler::new(config, make_feeds())?.with_lane_grouping();
-        let t = Instant::now();
-        let lane_report = lane_sched.run(lane_ticks)?;
-        let sched_lane_s = t.elapsed().as_secs_f64();
-        // The lane engine's contract is bitwise equality, so the two
-        // schedulers must agree on the beat count exactly.
-        assert_eq!(
-            scalar_report.beats, lane_report.beats,
-            "lane-grouped scheduler diverged from the scalar scheduler"
-        );
-        let sched_speedup = sched_scalar_s / sched_lane_s.max(1e-12);
-        let grouped = lane_sessions / LANE_WIDTH * LANE_WIDTH;
-        eprintln!(
-            "lanes: fir {fir_multiple:.2}x, biquad {biquad_multiple:.2}x, cascade \
-             {cascade_multiple:.2}x, derivative {deriv_multiple:.2}x; scheduler \
-             {lane_sessions} sessions ({grouped} grouped) {sched_speedup:.2}x"
-        );
-
-        let mut s = String::from("  \"lanes\": {\n");
-        s.push_str(&format!("    \"width\": {LANE_WIDTH},\n"));
-        s.push_str(&format!(
-            "    \"fir_multiple_floor\": {LANE_FIR_MULTIPLE_FLOOR:.1},\n"
-        ));
-        s.push_str(&format!("    \"fir_multiple\": {fir_multiple:.3},\n"));
-        s.push_str(&format!("    \"biquad_multiple\": {biquad_multiple:.3},\n"));
-        s.push_str(&format!(
-            "    \"cascade_multiple\": {cascade_multiple:.3},\n"
-        ));
-        s.push_str(&format!(
-            "    \"derivative_multiple\": {deriv_multiple:.3},\n"
-        ));
-        s.push_str("    \"scheduler\": {\n");
-        s.push_str(&format!("      \"sessions\": {lane_sessions},\n"));
-        s.push_str(&format!("      \"grouped\": {grouped},\n"));
-        s.push_str(&format!(
-            "      \"scalar_fallbacks\": {},\n",
-            lane_sessions - grouped
-        ));
-        s.push_str(&format!("      \"ticks\": {lane_ticks},\n"));
-        s.push_str(&format!("      \"beats\": {},\n", lane_report.beats));
-        s.push_str(&format!(
-            "      \"scalar_elapsed_s\": {sched_scalar_s:.4},\n"
-        ));
-        s.push_str(&format!("      \"lane_elapsed_s\": {sched_lane_s:.4},\n"));
-        s.push_str(&format!("      \"speedup\": {sched_speedup:.3}\n"));
-        s.push_str("    }\n");
-        s.push_str("  },\n");
-
-        kernels.push(fir_scalar);
-        kernels.push(fir_lane);
-        kernels.push(biquad_scalar);
-        kernels.push(biquad_lane);
-        kernels.push(cascade_scalar);
-        kernels.push(cascade_lane);
-        kernels.push(deriv_scalar);
-        kernels.push(deriv_lane);
-        Some(s)
-    } else {
-        None
-    };
-
     // --- Sharded fleet scaling (gated behind --fleet) ---------------------
     // The same session workload through 1 worker shard and FLEET_SHARDS
     // shards: each shard is a dedicated thread ticking its own scheduler
-    // slab inline, so throughput should scale with whichever is smaller,
-    // the shard count or the host's parallelism. A second fleet then
-    // performs a live migration (through the serialized snapshot codec)
-    // and a rebalance, so the committed document's metrics section
-    // carries non-trivial `core.fleet.*` counters.
+    // slab, so throughput should scale with whichever is smaller, the
+    // shard count or the host's parallelism. Single and sharded runs
+    // alternate in FLEET_PAIRS pairs (order flipped every pair, so drift
+    // and warm-up cancel) and the gate reads the median per-pair
+    // speedup: one short window on a shared host swings by 2× or more.
+    // A second fleet then performs a live migration (through the
+    // serialized snapshot codec) and a rebalance, so the committed
+    // document's metrics section carries non-trivial `core.fleet.*`
+    // counters.
     let fleet_json = if with_fleet {
-        let fleet_sessions = if smoke { 8 } else { 32 };
-        let fleet_ticks = if smoke { 4 } else { 12 };
+        let fleet_sessions = 32;
+        let fleet_ticks = 12;
         let measure = |shards: usize| -> Result<f64, Box<dyn std::error::Error>> {
             let mut fleet = Fleet::new(config, shards, 64)?;
             for i in 0..fleet_sessions {
@@ -708,15 +505,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fleet.shutdown();
             Ok(sustained)
         };
-        let single_sps = measure(1)?;
-        let sharded_sps = measure(FLEET_SHARDS)?;
-        let fleet_speedup = sharded_sps / single_sps.max(1e-12);
+        let mut pairs = Vec::with_capacity(FLEET_PAIRS);
+        for p in 0..FLEET_PAIRS {
+            let (single, sharded) = if p % 2 == 0 {
+                let single = measure(1)?;
+                (single, measure(FLEET_SHARDS)?)
+            } else {
+                let sharded = measure(FLEET_SHARDS)?;
+                (measure(1)?, sharded)
+            };
+            pairs.push((single, sharded, sharded / single.max(1e-12)));
+        }
+        let median = |key: fn(&(f64, f64, f64)) -> f64| -> f64 {
+            let mut v: Vec<f64> = pairs.iter().map(key).collect();
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        let single_sps = median(|p| p.0);
+        let sharded_sps = median(|p| p.1);
+        let fleet_speedup = median(|p| p.2);
         let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let efficiency = fleet_speedup / FLEET_SHARDS.min(available) as f64;
+        let per_pair: Vec<String> = pairs.iter().map(|p| format!("{:.2}", p.2)).collect();
+        eprintln!("fleet: per-pair speedups [{}]", per_pair.join(", "));
         assert!(
             efficiency >= FLEET_EFFICIENCY_FLOOR,
             "fleet scaling efficiency {efficiency:.3} at {FLEET_SHARDS} shards \
-             (speedup {fleet_speedup:.2}x, {available} cores) is below the \
+             (median speedup {fleet_speedup:.2}x over {FLEET_PAIRS} pairs, {available} \
+             cores) is below the \
              {FLEET_EFFICIENCY_FLOOR} floor"
         );
 
@@ -749,6 +565,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s.push_str(&format!("    \"shards\": {FLEET_SHARDS},\n"));
         s.push_str(&format!("    \"sessions\": {fleet_sessions},\n"));
         s.push_str(&format!("    \"ticks\": {fleet_ticks},\n"));
+        s.push_str(&format!("    \"pairs\": {FLEET_PAIRS},\n"));
         s.push_str(&format!(
             "    \"sustained_sessions_1_shard\": {single_sps:.1},\n"
         ));
@@ -1437,7 +1254,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Emit ------------------------------------------------------------
     let date = today_iso();
     let mut json = String::from("{\n");
-    json.push_str("  \"schema_version\": 8,\n");
+    json.push_str("  \"schema_version\": 9,\n");
     json.push_str(&format!("  \"date\": \"{date}\",\n"));
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!(
@@ -1500,7 +1317,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     json.push_str(&format!(
         "    \"incremental_speedup_vs_reanalysis_w20\": {speedup:.2},\n"
     ));
-    json.push_str("    \"scheduler\": {\n");
+    json.push_str("    \"scheduler_one_core\": {\n");
     json.push_str(&format!("      \"sessions\": {},\n", sched.sessions));
     json.push_str(&format!("      \"ticks\": {},\n", sched.ticks));
     json.push_str(&format!("      \"beats\": {},\n", sched.beats));
@@ -1542,9 +1359,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "    \"sessions_per_sec_obs_off\": {inc_off_sessions_per_sec:.2}\n"
     ));
     json.push_str("  },\n");
-    if let Some(f) = &lanes_json {
-        json.push_str(f);
-    }
     if let Some(f) = &fleet_json {
         json.push_str(f);
     }

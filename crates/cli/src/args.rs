@@ -54,12 +54,9 @@ pub enum Command {
     ServeSim {
         /// Concurrent session count.
         sessions: usize,
-        /// Worker-thread count (`None` → automatic).
-        threads: Option<usize>,
-        /// Fleet shard count: `None` runs the single rayon-pool
-        /// scheduler, `Some(n)` serves the sessions from `n` dedicated
-        /// shard threads (`cardiotouch::fleet`).
-        shards: Option<usize>,
+        /// Fleet shard count: the sessions are served from this many
+        /// dedicated shard threads (`cardiotouch::fleet`).
+        shards: usize,
         /// Simulated signal duration per session, seconds (= hops).
         seconds: usize,
         /// Random seed for the template recordings.
@@ -128,6 +125,9 @@ impl fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
+/// Shard count `serve-sim` serves with when `--shards` is absent.
+pub const DEFAULT_SERVE_SHARDS: usize = 2;
+
 /// Usage text.
 pub const USAGE: &str = "\
 cardiotouch — touch-based ICG/ECG simulation and analysis
@@ -139,7 +139,7 @@ USAGE:
                        [--hemo-z0 OHM]
   cardiotouch study [--quick] [--threads N] [--metrics-out FILE]
                        [--faults SPEC] [--delineation STRAT]
-  cardiotouch serve-sim [--sessions N] [--threads N] [--shards N]
+  cardiotouch serve-sim [--sessions N] [--shards N]
                        [--seconds S] [--seed N] [--metrics-out FILE]
                        [--faults SPEC] [--wire] [--wire-loss P]
                        [--wire-corrupt P] [--checkpoint-dir DIR]
@@ -161,10 +161,10 @@ Metrics: --metrics-out writes a point-in-time observability snapshot
 For serve-sim a path ending in `.jsonl` streams one compact snapshot
 line per scheduler tick instead.
 
-Sharding: serve-sim --shards N serves the fleet from N worker shards,
-each a dedicated thread owning its own scheduler slab with bounded
-ingest and per-shard metrics (core.fleet.shard<i>.*); without --shards
-one scheduler fans sessions over the rayon pool instead.
+Sharding: serve-sim always serves the fleet from --shards N worker
+shards (default 2), each a dedicated thread owning its own scheduler
+slab with bounded ingest and per-shard metrics (core.fleet.shard<i>.*).
+--threads applies to study only; serve-sim rejects it.
 
 Wire: serve-sim --wire drives the fleet through the encoded wire
 protocol instead of in-memory vectors — every session's samples are
@@ -317,8 +317,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
         }
         "serve-sim" => {
             let mut sessions = 256usize;
-            let mut threads = None;
-            let mut shards = None;
+            let mut shards = DEFAULT_SERVE_SHARDS;
             let mut seconds = 10usize;
             let mut seed = 7u64;
             let mut metrics_out = None;
@@ -345,8 +344,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                         continue;
                     }
                     "--sessions" => sessions = parse_num(flag, value(i)?)?,
-                    "--threads" => threads = Some(parse_num(flag, value(i)?)?),
-                    "--shards" => shards = Some(parse_num(flag, value(i)?)?),
+                    "--threads" => {
+                        return Err(ParseArgsError(
+                            "--threads does not apply to serve-sim (sessions are served \
+                             by fleet shard workers; use --shards)"
+                                .into(),
+                        ))
+                    }
+                    "--shards" => shards = parse_num(flag, value(i)?)?,
                     "--seconds" => seconds = parse_num(flag, value(i)?)?,
                     "--seed" => seed = parse_num(flag, value(i)?)?,
                     "--metrics-out" => metrics_out = Some(value(i)?.clone()),
@@ -369,10 +374,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             if seconds == 0 {
                 return Err(ParseArgsError("--seconds must be at least 1".into()));
             }
-            if threads == Some(0) {
-                return Err(ParseArgsError("--threads must be at least 1".into()));
-            }
-            if shards == Some(0) {
+            if shards == 0 {
                 return Err(ParseArgsError("--shards must be at least 1".into()));
             }
             for (flag, p) in [("--wire-loss", wire_loss), ("--wire-corrupt", wire_corrupt)] {
@@ -387,13 +389,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                 return Err(ParseArgsError(
                     "--faults does not apply to --wire serving; \
                      use --wire-loss / --wire-corrupt for wire faults"
-                        .into(),
-                ));
-            }
-            if wire && threads.is_some() {
-                return Err(ParseArgsError(
-                    "--threads does not apply to --wire serving \
-                     (the wire always drives shard workers; use --shards)"
                         .into(),
                 ));
             }
@@ -423,7 +418,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             }
             Ok(Command::ServeSim {
                 sessions,
-                threads,
                 shards,
                 seconds,
                 seed,
@@ -687,8 +681,7 @@ mod tests {
             p(&["serve-sim"]).unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,
@@ -707,7 +700,7 @@ mod tests {
                 "serve-sim",
                 "--sessions",
                 "1000",
-                "--threads",
+                "--shards",
                 "4",
                 "--seconds",
                 "30",
@@ -717,8 +710,7 @@ mod tests {
             .unwrap(),
             Command::ServeSim {
                 sessions: 1000,
-                threads: Some(4),
-                shards: None,
+                shards: 4,
                 seconds: 30,
                 seed: 9,
                 metrics_out: None,
@@ -734,8 +726,18 @@ mod tests {
         );
         assert!(p(&["serve-sim", "--sessions", "0"]).is_err());
         assert!(p(&["serve-sim", "--seconds", "0"]).is_err());
-        assert!(p(&["serve-sim", "--threads", "0"]).is_err());
+        assert!(p(&["serve-sim", "--shards", "0"]).is_err());
         assert!(p(&["serve-sim", "--bogus", "1"]).is_err());
+    }
+
+    #[test]
+    fn serve_sim_serves_two_shards_and_rejects_threads() {
+        match p(&["serve-sim"]).unwrap() {
+            Command::ServeSim { shards, .. } => assert_eq!(shards, 2),
+            other => panic!("expected serve-sim, got {other:?}"),
+        }
+        let err = p(&["serve-sim", "--threads", "2"]).unwrap_err();
+        assert!(err.0.contains("--shards"), "{}", err.0);
     }
 
     #[test]
@@ -804,8 +806,7 @@ mod tests {
             p(&["serve-sim", "--metrics-out", "m.json"]).unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: Some("m.json".into()),
@@ -823,8 +824,7 @@ mod tests {
             p(&["serve-sim", "--sessions", "8", "--metrics-out", "m.jsonl"]).unwrap(),
             Command::ServeSim {
                 sessions: 8,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: Some("m.jsonl".into()),
@@ -858,8 +858,7 @@ mod tests {
             p(&["serve-sim", "--faults", "drop@5s+200ms"]).unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,
@@ -913,8 +912,7 @@ mod tests {
             p(&["serve-sim", "--delineation", "classic"]).unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,
@@ -953,8 +951,7 @@ mod tests {
             p(&["serve-sim", "--wire", "--sessions", "64"]).unwrap(),
             Command::ServeSim {
                 sessions: 64,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,
@@ -982,8 +979,7 @@ mod tests {
             .unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: Some(4),
+                shards: 4,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,
@@ -1022,8 +1018,7 @@ mod tests {
             .unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,
@@ -1041,8 +1036,7 @@ mod tests {
             p(&["serve-sim", "--wire", "--recover", "ckpt"]).unwrap(),
             Command::ServeSim {
                 sessions: 256,
-                threads: None,
-                shards: None,
+                shards: 2,
                 seconds: 10,
                 seed: 7,
                 metrics_out: None,

@@ -17,7 +17,7 @@ use cardiotouch::io::{read_recording_csv, write_beats_csv, write_recording_csv};
 use cardiotouch::pipeline::Pipeline;
 use cardiotouch::report;
 use cardiotouch::respiration::estimate_respiration_rate;
-use cardiotouch::scheduler::{SessionFeed, SessionScheduler};
+use cardiotouch::scheduler::SessionFeed;
 use cardiotouch_device::mcu::CycleBudget;
 use cardiotouch_device::power::{DutyCycle, PowerBudget};
 use cardiotouch_ingest::{CheckpointStore, LossyWire, SegmentPolicy, SegmentedLog, SessionEncoder};
@@ -399,7 +399,6 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
         }
         Command::ServeSim {
             sessions,
-            threads,
             shards,
             seconds,
             seed,
@@ -473,7 +472,6 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
             // seeded lossy link), and the fleet's ingest front door
             // decodes, reassembles and dispatches into shard mailboxes.
             if wire {
-                let shard_count = shards.unwrap_or(2);
                 // 0.5 s frames at the paper's 250 Hz — the same framing
                 // the replay-equivalence conformance leg pins.
                 let frame_len = 125usize;
@@ -499,7 +497,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 let mut encoders: Vec<SessionEncoder>;
                 if let Some(dir) = recover.as_deref().map(std::path::Path::new) {
                     let (f, ckpt_index, suffix_frames) =
-                        recover_fleet(config, shard_count, mailbox, policy, dir)?;
+                        recover_fleet(config, shards, mailbox, policy, dir)?;
                     let resumes = f.wire_session_resumes();
                     if resumes.len() != sessions {
                         return Err(format!(
@@ -527,7 +525,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                     );
                     fleet = f;
                 } else {
-                    fleet = Fleet::new(config, shard_count, mailbox)?;
+                    fleet = Fleet::new(config, shards, mailbox)?;
                     if durable_dir.is_some() {
                         fleet.wire_enable_durable(policy);
                     }
@@ -541,7 +539,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 let mut link = (wire_loss > 0.0 || wire_corrupt > 0.0)
                     .then(|| LossyWire::new(seed ^ 0xC71C, wire_loss, wire_corrupt));
                 eprintln!(
-                    "serving {sessions} wire sessions across {shard_count} shard(s) \
+                    "serving {sessions} wire sessions across {shards} shard(s) \
                      for {seconds} simulated seconds…"
                 );
                 let start = Instant::now();
@@ -618,7 +616,7 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 let session_seconds =
                     (asm.delivered as f64 * frame_len as f64 + asm.filled_samples as f64) / fs;
                 println!("sessions            : {}", results.len());
-                println!("shards              : {shard_count}");
+                println!("shards              : {shards}");
                 println!("frames sent         : {frames_sent}");
                 println!("frames decoded      : {}", dec.frames);
                 println!("wire bytes          : {}", dec.bytes);
@@ -648,116 +646,72 @@ fn run(command: Command) -> Result<(), Box<dyn std::error::Error>> {
                 return Ok(());
             }
 
-            // --shards: serve the fleet from dedicated shard threads
-            // (each owning its own scheduler slab) instead of fanning
-            // one scheduler over the rayon pool.
-            if let Some(shards) = shards {
-                let mut fleet = Fleet::new(config, shards, sessions.max(DEFAULT_MAILBOX_CAPACITY))?;
-                for feed in feeds {
-                    fleet.admit(feed)?;
-                }
-                eprintln!(
-                    "serving {sessions} concurrent sessions across {shards} shard(s) \
-                     for {seconds} simulated seconds…"
-                );
-                let start = Instant::now();
-                for _ in 0..seconds {
-                    fleet.run(1)?;
-                    if let Some(ex) = &mut exporter {
-                        ex.export(&cardiotouch_obs::snapshot())?;
-                    }
-                }
-                let elapsed_s = start.elapsed().as_secs_f64();
-                let reports = fleet.reports(elapsed_s)?;
-                fleet.shutdown();
-                if let Some(ex) = exporter {
-                    let path = metrics_out.as_deref().unwrap_or("-");
-                    eprintln!("streamed {} metric snapshots to {path}", ex.lines());
-                } else if let Some(path) = &metrics_out {
-                    write_metrics_snapshot(path)?;
-                }
-                let total_sessions: usize = reports.iter().map(|r| r.sessions).sum();
-                let total_beats: usize = reports.iter().map(|r| r.beats).sum();
-                let session_seconds: f64 = reports.iter().map(|r| r.session_seconds).sum();
-                println!("sessions            : {total_sessions}");
-                println!("shards              : {shards}");
-                for (i, r) in reports.iter().enumerate() {
-                    println!(
-                        "  shard {i:<2}          : {} sessions, {} beats, hop p50 {:.1} us, \
-                         p99 {:.1} us, {} quarantined",
-                        r.sessions, r.beats, r.hop_p50_us, r.hop_p99_us, r.sessions_quarantined
-                    );
-                }
-                println!("signal processed    : {session_seconds:.0} session-seconds");
-                println!("wall clock          : {elapsed_s:.3} s");
-                println!("beats emitted       : {total_beats}");
-                if scenario.is_some() {
-                    println!(
-                        "session errors      : {}",
-                        reports.iter().map(|r| r.session_errors).sum::<usize>()
-                    );
-                    println!(
-                        "session recoveries  : {}",
-                        reports.iter().map(|r| r.session_recoveries).sum::<usize>()
-                    );
-                    println!(
-                        "quarantined now     : {}",
-                        reports
-                            .iter()
-                            .map(|r| r.sessions_quarantined)
-                            .sum::<usize>()
-                    );
-                }
-                println!(
-                    "sustained sessions  : {:.0} concurrent real-time streams",
-                    session_seconds / elapsed_s.max(1e-12)
-                );
-                return Ok(());
+            // Every in-memory session is served by the fleet: dedicated
+            // shard threads, each owning its own scheduler slab.
+            let mut fleet = Fleet::new(config, shards, sessions.max(DEFAULT_MAILBOX_CAPACITY))?;
+            for feed in feeds {
+                fleet.admit(feed)?;
             }
-
-            let mut scheduler = SessionScheduler::new(config, feeds)?;
-            eprintln!("serving {sessions} concurrent sessions for {seconds} simulated seconds…");
-            let pool = match threads {
-                Some(n) => Some(rayon::ThreadPoolBuilder::new().num_threads(n).build()?),
-                None => None,
-            };
+            eprintln!(
+                "serving {sessions} concurrent sessions across {shards} shard(s) \
+                 for {seconds} simulated seconds…"
+            );
             let start = Instant::now();
             for _ in 0..seconds {
-                match &pool {
-                    Some(p) => p.install(|| scheduler.tick())?,
-                    None => scheduler.tick()?,
-                }
+                fleet.run(1)?;
                 if let Some(ex) = &mut exporter {
                     ex.export(&cardiotouch_obs::snapshot())?;
                 }
             }
-            let report = scheduler.report(start.elapsed().as_secs_f64());
+            let elapsed_s = start.elapsed().as_secs_f64();
+            let reports = fleet.reports(elapsed_s)?;
+            fleet.shutdown();
             if let Some(ex) = exporter {
                 let path = metrics_out.as_deref().unwrap_or("-");
                 eprintln!("streamed {} metric snapshots to {path}", ex.lines());
             } else if let Some(path) = &metrics_out {
                 write_metrics_snapshot(path)?;
             }
-            println!("sessions            : {}", report.sessions);
-            println!("worker threads      : {}", report.threads);
-            println!(
-                "signal processed    : {:.0} session-seconds",
-                report.session_seconds
-            );
-            println!("wall clock          : {:.3} s", report.elapsed_s);
-            println!("beats emitted       : {}", report.beats);
+            let total_sessions: usize = reports.iter().map(|r| r.sessions).sum();
+            let total_beats: usize = reports.iter().map(|r| r.beats).sum();
+            let session_seconds: f64 = reports.iter().map(|r| r.session_seconds).sum();
+            println!("sessions            : {total_sessions}");
+            println!("shards              : {shards}");
+            for (i, r) in reports.iter().enumerate() {
+                println!(
+                    "  shard {i:<2}          : {} sessions, {} beats, hop p50 {:.1} us, \
+                     p99 {:.1} us, {} quarantined",
+                    r.sessions, r.beats, r.hop_p50_us, r.hop_p99_us, r.sessions_quarantined
+                );
+            }
+            println!("signal processed    : {session_seconds:.0} session-seconds");
+            println!("wall clock          : {elapsed_s:.3} s");
+            println!("beats emitted       : {total_beats}");
             if scenario.is_some() {
-                println!("session errors      : {}", report.session_errors);
-                println!("session retries     : {}", report.session_retries);
-                println!("session recoveries  : {}", report.session_recoveries);
-                println!("quarantined now     : {}", report.sessions_quarantined);
+                println!(
+                    "session errors      : {}",
+                    reports.iter().map(|r| r.session_errors).sum::<usize>()
+                );
+                println!(
+                    "session retries     : {}",
+                    reports.iter().map(|r| r.session_retries).sum::<usize>()
+                );
+                println!(
+                    "session recoveries  : {}",
+                    reports.iter().map(|r| r.session_recoveries).sum::<usize>()
+                );
+                println!(
+                    "quarantined now     : {}",
+                    reports
+                        .iter()
+                        .map(|r| r.sessions_quarantined)
+                        .sum::<usize>()
+                );
             }
             println!(
                 "sustained sessions  : {:.0} concurrent real-time streams",
-                report.sustained_sessions()
+                session_seconds / elapsed_s.max(1e-12)
             );
-            println!("per-hop latency p50 : {:.1} us", report.hop_p50_us);
-            println!("per-hop latency p99 : {:.1} us", report.hop_p99_us);
             Ok(())
         }
         Command::Simulate {

@@ -28,7 +28,7 @@
 //! # Supervision
 //!
 //! Worker loops run under `catch_unwind`: a panicking session cannot
-//! take the process down. A panicked worker posts [`ShardEvent::Down`]
+//! take the process down. A panicked worker posts a `Down` event
 //! and exits; its mailbox closes so nothing ever blocks against a dead
 //! shard, and the control thread surfaces [`CoreError::ShardDown`]
 //! instead of hanging. Idle workers bump a per-shard heartbeat on a
@@ -224,7 +224,6 @@ impl ShardHealth {
 fn shard_main(
     shard: usize,
     config: PipelineConfig,
-    lanes: bool,
     rx: &Receiver<ShardCmd>,
     events: &mpsc::Sender<ShardEvent>,
     health: &ShardHealth,
@@ -236,9 +235,6 @@ fn shard_main(
         // reports `FleetWorkerLost` on first contact.
         Err(_) => return,
     };
-    if lanes {
-        sched = sched.with_lane_grouping();
-    }
     // Frame-driven wire sessions live beside the scheduler slab: each
     // owns a plain BeatStream pushed with whatever sample runs the
     // control thread's front door reassembles, no template feed.
@@ -275,7 +271,7 @@ fn shard_main(
             }
             ShardCmd::Run { ticks } => {
                 for _ in 0..ticks {
-                    let _ = sched.tick_inline();
+                    let _ = sched.tick();
                     // A long run is live work, not a stall.
                     health.beat();
                 }
@@ -376,7 +372,6 @@ fn spawn_shard(
     shard: usize,
     epoch: u64,
     config: PipelineConfig,
-    lanes: bool,
     rx: Receiver<ShardCmd>,
     events: mpsc::Sender<ShardEvent>,
     health: Arc<ShardHealth>,
@@ -388,7 +383,7 @@ fn spawn_shard(
             // map are dropped wholesale, never observed again — there
             // is no broken invariant to leak.
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                shard_main(shard, config, lanes, &rx, &events, &health);
+                shard_main(shard, config, &rx, &events, &health);
             }));
             if result.is_err() {
                 health.down.store(true, Ordering::SeqCst);
@@ -478,7 +473,6 @@ pub struct Fleet {
     stall_deadline: Duration,
     sync_token: u64,
     config: PipelineConfig,
-    lanes: bool,
     mailbox_capacity: usize,
     /// Control-thread view of per-shard occupancy (admissions minus
     /// migrations out plus migrations in). Used for least-loaded
@@ -532,34 +526,6 @@ impl Fleet {
         shards: usize,
         mailbox_capacity: usize,
     ) -> Result<Self, CoreError> {
-        Self::build(config, shards, mailbox_capacity, false)
-    }
-
-    /// Like [`Fleet::new`], but every shard runs its scheduler in
-    /// lane-grouped mode
-    /// ([`SessionScheduler::with_lane_grouping`]): same-key sessions
-    /// advance [`crate::scheduler::LANE_WIDTH`] at a time through
-    /// shared SoA kernels, with scalar fallback for the rest.
-    /// Emissions and migration bytes are bitwise identical to
-    /// [`Fleet::new`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same surface as [`Fleet::new`].
-    pub fn new_lane_grouped(
-        config: PipelineConfig,
-        shards: usize,
-        mailbox_capacity: usize,
-    ) -> Result<Self, CoreError> {
-        Self::build(config, shards, mailbox_capacity, true)
-    }
-
-    fn build(
-        config: PipelineConfig,
-        shards: usize,
-        mailbox_capacity: usize,
-        lanes: bool,
-    ) -> Result<Self, CoreError> {
         if shards == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "shards",
@@ -583,7 +549,6 @@ impl Fleet {
                 shard,
                 0,
                 config,
-                lanes,
                 rx,
                 event_tx.clone(),
                 Arc::clone(&hp),
@@ -603,7 +568,6 @@ impl Fleet {
             stall_deadline: DEFAULT_STALL_DEADLINE,
             sync_token: 0,
             config,
-            lanes,
             mailbox_capacity,
             occupancy: vec![0; shards],
             enqueued: cardiotouch_obs::counter("core.fleet.enqueued"),
@@ -1006,7 +970,7 @@ impl Fleet {
         checkpoint: &Checkpoint,
         log: SegmentedLog,
     ) -> Result<Self, CoreError> {
-        let mut fleet = Self::build(config, shards, mailbox_capacity, false)?;
+        let mut fleet = Self::new(config, shards, mailbox_capacity)?;
         fleet.ckpt_store = Some(store);
         for sc in &checkpoint.sessions {
             let stream = restore_stream(config, sc.session, &sc.snapshot)?;
@@ -1323,7 +1287,6 @@ impl Fleet {
             shard,
             self.epochs[shard],
             self.config,
-            self.lanes,
             rx,
             self.event_tx.clone(),
             Arc::clone(&hp),
@@ -1472,10 +1435,10 @@ mod tests {
         let config = PipelineConfig::paper_default(250.0);
         let f = feed(0);
 
-        // Reference: one inline scheduler, 6 ticks.
+        // Reference: one scheduler, 6 ticks.
         let mut single = SessionScheduler::new(config, vec![f.clone()]).unwrap();
         for _ in 0..6 {
-            single.tick_inline().unwrap();
+            single.tick().unwrap();
         }
         let want = single.report(1.0);
 
@@ -1496,7 +1459,7 @@ mod tests {
 
         let mut reference = SessionScheduler::new(config, vec![f.clone()]).unwrap();
         for _ in 0..10 {
-            reference.tick_inline().unwrap();
+            reference.tick().unwrap();
         }
         let want = reference.report(1.0);
 
@@ -1607,23 +1570,6 @@ mod tests {
         assert_eq!(reports[shard].sessions, 2);
         assert_eq!(reports[other].sessions, 2);
         fleet.shutdown();
-    }
-
-    #[test]
-    fn lane_grouped_fleet_matches_scalar_fleet() {
-        let config = PipelineConfig::paper_default(250.0);
-        let mut scalar = Fleet::new(config, 1, 32).unwrap();
-        let mut lane = Fleet::new_lane_grouped(config, 1, 32).unwrap();
-        for i in 0..8 {
-            scalar.admit(feed(i * 977)).unwrap();
-            lane.admit(feed(i * 977)).unwrap();
-        }
-        let a = scalar.run(6).unwrap();
-        let b = lane.run(6).unwrap();
-        assert_eq!(b.sessions(), 8);
-        assert_eq!(a.beats(), b.beats());
-        scalar.shutdown();
-        lane.shutdown();
     }
 
     #[test]

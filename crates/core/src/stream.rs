@@ -28,10 +28,7 @@ use std::sync::Arc;
 
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::fir::Fir;
-use cardiotouch_dsp::iir::Butterworth;
-use cardiotouch_dsp::streaming::{
-    DerivativeState, HistoryRing, StreamingDerivative, StreamingZeroPhase, ZeroPhaseState,
-};
+use cardiotouch_dsp::streaming::{HistoryRing, StreamingDerivative, StreamingZeroPhase};
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{filtfilt_fir_into, ZeroPhaseScratch};
 use cardiotouch_ecg::online::OnlinePanTompkins;
@@ -279,74 +276,6 @@ fn worst_state(log: &VecDeque<(usize, u8)>, lo: usize, hi: usize) -> SignalState
     SignalState::from_severity(sev)
 }
 
-/// The ICG conditioning chain's shared design: filter coefficients,
-/// settle margins, edge extensions and the internal processing block,
-/// all pure functions of the sampling rate.
-///
-/// Factored out so the scalar engine ([`BeatStream::new`]) and the lane
-/// engine ([`crate::lanes`]) derive their kernels from one place —
-/// bitwise identity between the two execution paths requires byte-equal
-/// parameters, so they must be impossible to drift apart.
-#[derive(Debug, Clone)]
-pub(crate) struct IcgChainSpec {
-    /// 20 Hz low-pass design (shared via the design cache).
-    pub(crate) lp_filter: Arc<Butterworth>,
-    /// 0.4 Hz high-pass design (shared via the design cache).
-    pub(crate) hp_filter: Arc<Butterworth>,
-    /// Low-pass settle margin, samples.
-    pub(crate) lp_settle: usize,
-    /// High-pass settle margin, samples.
-    pub(crate) hp_settle: usize,
-    /// Low-pass edge-extension length, samples.
-    pub(crate) lp_ext: usize,
-    /// High-pass edge-extension length, samples.
-    pub(crate) hp_ext: usize,
-    /// Zero-phase processing quantum, samples.
-    pub(crate) block: usize,
-}
-
-impl IcgChainSpec {
-    /// Derives the chain for sampling rate `fs`. Settle margins: the
-    /// 20 Hz low-pass transient dies in tens of samples (0.5 s is ~24
-    /// time constants); the 0.4 Hz high-pass rings for ~0.56 s, so 2 s
-    /// of right context leaves ~1% residual — well inside the B/X
-    /// detection tolerances.
-    pub(crate) fn for_rate(fs: f64) -> Result<Self, CoreError> {
-        let hop = fs as usize;
-        let lp_filter = design_cache::butterworth_lowpass(IcgConditioner::DEFAULT_ORDER, 20.0, fs)
-            .map_err(cardiotouch_icg::IcgError::from)?;
-        let hp_filter = design_cache::butterworth_highpass(2, IcgConditioner::HIGHPASS_HZ, fs)
-            .map_err(cardiotouch_icg::IcgError::from)?;
-        Ok(Self {
-            lp_filter,
-            hp_filter,
-            lp_settle: (0.5 * fs) as usize,
-            hp_settle: (2.0 * fs) as usize,
-            lp_ext: 3 * 6 * (IcgConditioner::DEFAULT_ORDER + 1),
-            hp_ext: (fs / IcgConditioner::HIGHPASS_HZ) as usize,
-            block: (hop / 2).max(1),
-        })
-    }
-}
-
-/// Synchronization fingerprint of a stream's ICG conditioning chain:
-/// the geometry that must match before same-config sessions can share a
-/// lane group's SoA buffers ([`crate::lanes::LaneBeatGroup`]).
-///
-/// Every component is a pure function of samples processed since stream
-/// start (or the last warm restart), so streams of the same age always
-/// carry the same key — fresh admissions group trivially, and migrated
-/// sessions group with any shard-mates at the same position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LaneSyncKey {
-    /// Samples the streaming derivative has consumed.
-    pub deriv_seen: usize,
-    /// `(pending, tail, primed)` geometry of the low-pass stage.
-    pub lp: (usize, usize, bool),
-    /// `(pending, tail, primed)` geometry of the high-pass stage.
-    pub hp: (usize, usize, bool),
-}
-
 /// Incremental beat-to-beat processor with O(hop) per-hop cost.
 ///
 /// Pipeline per hop (1 s of samples): raw ECG → online Pan–Tompkins →
@@ -456,9 +385,16 @@ impl BeatStream {
         let fs = config.fs;
         let hop = fs as usize;
         // The zero-phase stages mirror the batch conditioner's designs
-        // (shared via the design cache) and edge extensions; the shared
-        // spec keeps the scalar and lane paths byte-identical.
-        let chain = IcgChainSpec::for_rate(fs)?;
+        // (shared via the design cache) and edge extensions. Settle
+        // margins: the 20 Hz low-pass transient dies in tens of samples
+        // (0.5 s is ~24 time constants); the 0.4 Hz high-pass rings for
+        // ~0.56 s, so 2 s of right context leaves ~1% residual — well
+        // inside the B/X detection tolerances.
+        let lp_filter = design_cache::butterworth_lowpass(IcgConditioner::DEFAULT_ORDER, 20.0, fs)
+            .map_err(cardiotouch_icg::IcgError::from)?;
+        let hp_filter = design_cache::butterworth_highpass(2, IcgConditioner::HIGHPASS_HZ, fs)
+            .map_err(cardiotouch_icg::IcgError::from)?;
+        let block = (hop / 2).max(1);
         Ok(Self {
             config,
             hop,
@@ -482,16 +418,16 @@ impl BeatStream {
             search: (0.04 * fs) as usize,
             deriv: StreamingDerivative::new(fs),
             lp: StreamingZeroPhase::new(
-                chain.lp_filter,
-                chain.lp_settle,
-                chain.lp_ext,
-                chain.block,
+                lp_filter,
+                (0.5 * fs) as usize,
+                3 * 6 * (IcgConditioner::DEFAULT_ORDER + 1),
+                block,
             ),
             hp: StreamingZeroPhase::new(
-                chain.hp_filter,
-                chain.hp_settle,
-                chain.hp_ext,
-                chain.block,
+                hp_filter,
+                (2.0 * fs) as usize,
+                (fs / IcgConditioner::HIGHPASS_HZ) as usize,
+                block,
             ),
             neg_buf: Vec::new(),
             lp_buf: Vec::new(),
@@ -576,35 +512,6 @@ impl BeatStream {
         ecg: &[f64],
         z: &[f64],
     ) -> Result<Vec<QualifiedBeat>, CoreError> {
-        self.ingest_qualified(ecg, z)?;
-        let mut out = Vec::new();
-        let mut off = 0;
-        while self.pend_ecg.len() - off >= self.hop {
-            self.process_hop(off, &mut out);
-            off += self.hop;
-        }
-        self.pend_ecg.drain(..off);
-        self.pend_z.drain(..off);
-        if !out.is_empty() {
-            self.beats_emitted.add(out.len() as u64);
-        }
-        Ok(out)
-    }
-
-    /// Buffers one chunk through the degradation ladder and holdover
-    /// fill **without consuming any completed hop** — the ingestion
-    /// half of [`BeatStream::push_qualified`], exposed so a lane group
-    /// ([`crate::lanes::LaneBeatGroup`]) can ingest every member first
-    /// and then hop them all through shared SoA kernels at once.
-    /// Callers not driving the stream through a lane group should use
-    /// [`BeatStream::push_qualified`], which is exactly this followed
-    /// by draining every ready hop through the scalar kernels.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::ChannelLengthMismatch`] when the chunks differ in
-    ///   length.
-    pub fn ingest_qualified(&mut self, ecg: &[f64], z: &[f64]) -> Result<(), CoreError> {
         if ecg.len() != z.len() {
             return Err(CoreError::ChannelLengthMismatch {
                 ecg_len: ecg.len(),
@@ -713,7 +620,18 @@ impl BeatStream {
             self.state_transitions.add(transitions);
             self.holdover_truncated.add(truncated);
         }
-        Ok(())
+        let mut out = Vec::new();
+        let mut off = 0;
+        while self.pend_ecg.len() - off >= self.hop {
+            self.process_hop(off, &mut out);
+            off += self.hop;
+        }
+        self.pend_ecg.drain(..off);
+        self.pend_z.drain(..off);
+        if !out.is_empty() {
+            self.beats_emitted.add(out.len() as u64);
+        }
+        Ok(out)
     }
 
     /// Applies a deferred warm restart: the conditioning chain is reset
@@ -731,8 +649,7 @@ impl BeatStream {
         self.delineator.pad_to(self.processed);
     }
 
-    /// Consumes one exact hop starting at `off` in the pending buffers
-    /// through the scalar kernels.
+    /// Consumes one exact hop starting at `off` in the pending buffers.
     fn process_hop(&mut self, off: usize, out: &mut Vec<QualifiedBeat>) {
         // Manual timing against the cached histogram handle: the
         // `span!` macro resolves its histogram by name on every drop (a
@@ -743,10 +660,21 @@ impl BeatStream {
         if self.take_restart() {
             self.warm_restart();
         }
-        self.hop_ecg_and_z_sum(off);
+        // ECG: raw ring (for apex refinement) and online QRS detection;
+        // then the Z0 running sum and the cursor advance.
+        let hop = self.hop;
+        self.ecg_ring.extend(&self.pend_ecg[off..off + hop]);
+        for i in off..off + hop {
+            if let Some(r) = self.qrs.push(self.pend_ecg[i]) {
+                self.raw_rs.push_back(r);
+            }
+        }
+        for i in off..off + hop {
+            self.z_sum += self.pend_z[i];
+        }
+        self.processed += hop;
 
         // ICG: Z → −dZ/dt → streaming zero-phase chain → delineator.
-        let hop = self.hop;
         self.neg_buf.clear();
         for i in off..off + hop {
             if let Some(d) = self.deriv.push(self.pend_z[i]) {
@@ -788,27 +716,7 @@ impl BeatStream {
         restart
     }
 
-    /// The hop's ECG half plus the Z0 running sum: raw ring (for apex
-    /// refinement), online QRS detection, `z_sum` accumulation, and the
-    /// `processed` cursor advance. Shared verbatim by the scalar and
-    /// lane hop paths; `z_sum` accumulates in its own loop so its f64
-    /// summation order is identical on both.
-    fn hop_ecg_and_z_sum(&mut self, off: usize) {
-        let hop = self.hop;
-        self.ecg_ring.extend(&self.pend_ecg[off..off + hop]);
-        for i in off..off + hop {
-            if let Some(r) = self.qrs.push(self.pend_ecg[i]) {
-                self.raw_rs.push_back(r);
-            }
-        }
-        for i in off..off + hop {
-            self.z_sum += self.pend_z[i];
-        }
-        self.processed += hop;
-    }
-
-    /// The hop's back half, consuming `self.hp_buf` (however it was
-    /// conditioned — scalar kernels or a lane group's SoA kernels):
+    /// The hop's back half, consuming the conditioned `self.hp_buf`:
     /// delineation, R refinement, buffer pruning, beat qualification.
     fn finish_hop(&mut self, out: &mut Vec<QualifiedBeat>) {
         let hop = self.hop;
@@ -889,108 +797,6 @@ impl BeatStream {
         if degraded > 0 {
             self.beats_degraded.add(degraded);
         }
-    }
-
-    // --- lane-group surface (see `crate::lanes`) -------------------
-    //
-    // A lane group drives member streams through the same hop as
-    // `process_hop`, but with the ICG conditioning between
-    // `lane_hop_begin` and `lane_hop_finish` executed by shared SoA
-    // kernels. Everything else — ladder, ECG path, delineation,
-    // qualification — stays on the per-stream scalar code.
-
-    /// Complete hops waiting in the pending buffers.
-    #[must_use]
-    pub fn ready_hops(&self) -> usize {
-        self.pend_ecg.len() / self.hop
-    }
-
-    /// Whether a deferred warm restart falls inside the next hop. A
-    /// lane group must release such a member to the scalar path first:
-    /// the restart resets the member's conditioning chain, which would
-    /// desynchronize it from the group's shared buffers.
-    #[must_use]
-    pub fn restart_pending(&self) -> bool {
-        self.restarts
-            .front()
-            .is_some_and(|&t| t < self.processed + self.hop)
-    }
-
-    /// Synchronization fingerprint of the ICG conditioning chain; see
-    /// [`LaneSyncKey`].
-    #[must_use]
-    pub fn lane_sync_key(&self) -> LaneSyncKey {
-        LaneSyncKey {
-            deriv_seen: self.deriv.samples_seen(),
-            lp: (
-                self.lp.pending_len(),
-                self.lp.tail_len(),
-                self.lp.is_primed(),
-            ),
-            hp: (
-                self.hp.pending_len(),
-                self.hp.tail_len(),
-                self.hp.is_primed(),
-            ),
-        }
-    }
-
-    /// Front half of a lane-driven hop: ECG path, Z0 sum, cursor
-    /// advance. The caller must have checked [`Self::restart_pending`]
-    /// and [`Self::ready_hops`] first.
-    pub(crate) fn lane_hop_begin(&mut self) {
-        debug_assert!(self.ready_hops() >= 1);
-        debug_assert!(!self.restart_pending());
-        self.hop_ecg_and_z_sum(0);
-    }
-
-    /// The hop's raw Z samples, for the lane group to gather into its
-    /// SoA columns. Valid between `lane_hop_begin` and
-    /// `lane_hop_finish`.
-    pub(crate) fn lane_z_hop(&self) -> &[f64] {
-        &self.pend_z[..self.hop]
-    }
-
-    /// Back half of a lane-driven hop: adopts the lane kernels'
-    /// conditioned output for this member, runs delineation and
-    /// qualification, and consumes the hop from the pending buffers.
-    pub(crate) fn lane_hop_finish(&mut self, hp_chunk: &[f64], out: &mut Vec<QualifiedBeat>) {
-        self.hp_buf.clear();
-        self.hp_buf.extend_from_slice(hp_chunk);
-        let before = out.len();
-        self.finish_hop(out);
-        self.pend_ecg.drain(..self.hop);
-        self.pend_z.drain(..self.hop);
-        let emitted = (out.len() - before) as u64;
-        if emitted > 0 {
-            self.beats_emitted.add(emitted);
-        }
-    }
-
-    /// The ICG chain state a lane group muxes into its kernels when
-    /// this stream joins: derivative, low-pass, high-pass.
-    #[must_use]
-    pub(crate) fn icg_lane_state(&self) -> (DerivativeState, ZeroPhaseState, ZeroPhaseState) {
-        (
-            self.deriv.snapshot(),
-            self.lp.snapshot(),
-            self.hp.snapshot(),
-        )
-    }
-
-    /// Restores the ICG chain state demuxed out of a lane group when
-    /// this stream leaves. With the states a lane produced, the stream
-    /// is byte-identical to one that never joined.
-    pub(crate) fn icg_lane_restore(
-        &mut self,
-        deriv: &DerivativeState,
-        lp: &ZeroPhaseState,
-        hp: &ZeroPhaseState,
-    ) -> Result<(), CoreError> {
-        self.deriv.restore(deriv);
-        self.lp.restore(lp).map_err(CoreError::Dsp)?;
-        self.hp.restore(hp).map_err(CoreError::Dsp)?;
-        Ok(())
     }
 
     /// Captures the complete mutable state of the stream — every filter

@@ -44,8 +44,6 @@
 //! [`crate::DspError::LengthMismatch`]. This is the substrate for
 //! session migration and crash recovery in the serving layer.
 
-pub mod lanes;
-
 use std::sync::Arc;
 
 use crate::error::DspError;
@@ -350,12 +348,6 @@ impl StreamingDerivative {
         out
     }
 
-    /// Total samples pushed since stream start (or the last reset).
-    #[must_use]
-    pub fn samples_seen(&self) -> usize {
-        self.seen
-    }
-
     /// Resets to the start-of-stream state.
     pub fn reset(&mut self) {
         self.prev = 0.0;
@@ -468,24 +460,6 @@ impl StreamingZeroPhase {
     #[must_use]
     pub fn block_samples(&self) -> usize {
         self.block
-    }
-
-    /// Samples of raw input currently awaiting a complete block.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Samples of forward-pass output not yet settled.
-    #[must_use]
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Whether the stream-start forward priming has run.
-    #[must_use]
-    pub fn is_primed(&self) -> bool {
-        self.primed
     }
 
     /// Returns the stage to its start-of-stream state: both cascades are

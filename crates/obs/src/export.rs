@@ -2,9 +2,10 @@
 //!
 //! Two shapes cover the workspace's needs:
 //!
-//! * [`Snapshot::to_json`] (in [`crate::registry`]) — one point-in-time
-//!   document, pretty or compact; the CLI's `--metrics-out file.json`
-//!   and `perf_bench`'s embedded `"metrics"` section use this.
+//! * [`Snapshot::to_json`] (in [`crate::registry`](mod@crate::registry))
+//!   — one point-in-time document, pretty or compact; the CLI's
+//!   `--metrics-out file.json` and `perf_bench`'s embedded `"metrics"`
+//!   section use this.
 //! * [`JsonlExporter`] — a streaming exporter writing one compact
 //!   snapshot per line to any [`Write`] sink; `serve-sim --metrics-out
 //!   file.jsonl` appends a line per scheduler tick, giving a time

@@ -13,7 +13,7 @@
 //!   p50/p90/p99/p999 quantile queries (§ [`metrics`]);
 //! * **spans** — RAII [`span!`] timers over a thread-local span stack,
 //!   driven by an injectable [`clock::Clock`] so tests are
-//!   deterministic (§ [`span`], [`clock`]);
+//!   deterministic (§ [`span`](mod@span), [`clock`]);
 //! * **exporters** — a point-in-time [`Snapshot`] (plain data,
 //!   optionally serde-derived, with a dependency-free JSON renderer)
 //!   and a JSONL streaming exporter (§ [`export`]), plus a minimal JSON

@@ -31,7 +31,7 @@ enum Metric {
 /// A process- or test-scoped collection of named metrics sharing one
 /// clock and one enable gate.
 ///
-/// The crate-level [`crate::registry`] function returns the global
+/// The crate-level [`crate::registry()`] function returns the global
 /// instance; tests build private registries (optionally with a
 /// [`crate::clock::ManualClock`]) so their readings are isolated and
 /// deterministic.
