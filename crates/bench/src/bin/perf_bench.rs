@@ -36,6 +36,8 @@
 //! overhead exceeds [`OBS_OVERHEAD_BUDGET_PCT`]. Schema v9 renames the
 //! multi-session row to `streaming.scheduler_one_core` (one scheduler on
 //! one thread) and adds `fleet.pairs`.
+//! Schema v10 records the checked-out commit as `git_sha` and adds the
+//! `filtfilt_fir_at_refine` kernel row (the windowed R-apex refinement).
 //!
 //! `--ingest` adds the wire front-door leg (schema v7 `ingest`
 //! section): an [`INGEST_SESSIONS`]-session multiplexed wire stream
@@ -82,7 +84,9 @@ use cardiotouch_device::uplink::{
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::diff;
 use cardiotouch_dsp::window::Window;
-use cardiotouch_dsp::zero_phase::{filtfilt_fir_into, filtfilt_iir_into, ZeroPhaseScratch};
+use cardiotouch_dsp::zero_phase::{
+    filtfilt_fir_at_into, filtfilt_fir_into, filtfilt_iir_into, ZeroPhaseScratch,
+};
 use cardiotouch_ingest::{
     recover_latest, CheckpointStore, LogReader, LossyWire, SegmentPolicy, SegmentedLog,
     SessionEncoder, WireDecoder,
@@ -260,6 +264,30 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
+/// The checked-out commit, read from `.git` in the working directory
+/// (a detached `HEAD`, a loose ref, or `packed-refs`); `"unknown"`
+/// outside a git checkout.
+fn git_sha() -> String {
+    let head = match std::fs::read_to_string(".git/HEAD") {
+        Ok(h) => h.trim().to_owned(),
+        Err(_) => return "unknown".into(),
+    };
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head;
+    };
+    if let Ok(sha) = std::fs::read_to_string(format!(".git/{reference}")) {
+        return sha.trim().to_owned();
+    }
+    std::fs::read_to_string(".git/packed-refs")
+        .ok()
+        .and_then(|p| {
+            p.lines()
+                .find(|l| l.ends_with(reference))
+                .and_then(|l| l.split_whitespace().next().map(str::to_owned))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 fn today_iso() -> String {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -332,6 +360,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernels.push(time_kernel("filtfilt_fir_bandpass", n, min_elapsed, || {
         filtfilt_fir_into(&fir, z, &mut scratch, &mut out).expect("filtfilt fir");
     }));
+    // R-apex refinement as `BeatStream` runs it: the zero-phase ECG
+    // filter evaluated only at the 21 (±0.04 s) candidates of a
+    // 201-sample (±0.4 s) window, one window per second of the session.
+    // Window samples count as the row's samples, so its rate reads per
+    // sample against `filtfilt_fir_bandpass`, which filters them all.
+    let (ctx, search) = ((0.4 * fs) as usize, (0.04 * fs) as usize);
+    let refine_at: Vec<usize> = (ctx..n - ctx).step_by(hop).collect();
+    kernels.push(time_kernel(
+        "filtfilt_fir_at_refine",
+        refine_at.len() * (2 * ctx + 1),
+        min_elapsed,
+        || {
+            for &r in &refine_at {
+                let window = &ecg[r - ctx..=r + ctx];
+                let candidates = ctx - search..ctx + search + 1;
+                filtfilt_fir_at_into(&fir, window, candidates, &mut scratch, &mut out)
+                    .expect("filtfilt fir at");
+            }
+        },
+    ));
     kernels.push(time_kernel(
         "filtfilt_iir_butterworth4",
         n,
@@ -1254,8 +1302,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Emit ------------------------------------------------------------
     let date = today_iso();
     let mut json = String::from("{\n");
-    json.push_str("  \"schema_version\": 9,\n");
+    json.push_str("  \"schema_version\": 10,\n");
     json.push_str(&format!("  \"date\": \"{date}\",\n"));
+    json.push_str(&format!("  \"git_sha\": \"{}\",\n", git_sha()));
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!(
         "  \"threads\": {},\n",

@@ -55,8 +55,10 @@
 //!
 //! Fleet-level: `core.fleet.shards`, `core.fleet.log_segments` (gauges),
 //! `core.fleet.enqueued`, `core.fleet.rejected`,
-//! `core.fleet.migrations`, `core.fleet.restarts`,
-//! `core.fleet.checkpoints`, `core.fleet.compactions` (counters),
+//! `core.fleet.migrations`, `core.fleet.migration_failures` (a
+//! migrated snapshot the destination shard could not decode or
+//! restore), `core.fleet.restarts`, `core.fleet.checkpoints`,
+//! `core.fleet.compactions` (counters),
 //! `core.fleet.rebalance_us`, `core.fleet.checkpoint_us` (histograms).
 //! Per shard `i`, the embedded scheduler publishes
 //! `core.fleet.shard<i>.hop_us` and `core.fleet.shard<i>.quarantined`
@@ -240,6 +242,7 @@ fn shard_main(
     // control thread's front door reassembles, no template feed.
     let mut wire: BTreeMap<u32, (BeatStream, Vec<crate::stream::QualifiedBeat>)> = BTreeMap::new();
     let wire_beats = cardiotouch_obs::counter(&format!("core.fleet.shard{shard}.wire_beats"));
+    let migration_failures = cardiotouch_obs::counter("core.fleet.migration_failures");
     loop {
         let cmd = match rx.recv_timeout(WORKER_IDLE_TICK) {
             Ok(cmd) => cmd,
@@ -263,10 +266,17 @@ fn shard_main(
             } => {
                 // Rehydrate from the wire bytes, proving on every live
                 // migration that the serialized form alone is enough to
-                // resume a session (the crash-recovery guarantee).
-                if let Ok(snapshot) = BeatStreamSnapshot::from_bytes(&snapshot_bytes) {
-                    session.snapshot = snapshot;
-                    let _ = sched.admit_migrated(&session);
+                // resume a session (the crash-recovery guarantee). A
+                // snapshot that fails to decode or restore loses the
+                // session: count it.
+                let admitted = BeatStreamSnapshot::from_bytes(&snapshot_bytes)
+                    .ok()
+                    .is_some_and(|snapshot| {
+                        session.snapshot = snapshot;
+                        sched.admit_migrated(&session).is_ok()
+                    });
+                if !admitted {
+                    migration_failures.inc();
                 }
             }
             ShardCmd::Run { ticks } => {
@@ -1880,6 +1890,41 @@ mod tests {
             Err(e) => panic!("unexpected error: {e}"),
             Ok(_) => panic!("a corrupt snapshot recovered without error"),
         }
+    }
+
+    #[test]
+    fn failed_migration_admission_is_counted() {
+        let config = PipelineConfig::paper_default(250.0);
+        let mut fleet = Fleet::new(config, 1, 8).unwrap();
+        fleet.admit(feed(0)).unwrap();
+        fleet.run(2).unwrap();
+        fleet.senders[0].send(ShardCmd::Extract { max: 1 }).unwrap();
+        let session = match fleet.recv_event().unwrap() {
+            ShardEvent::Extracted { mut sessions, .. } => sessions.pop().unwrap(),
+            _ => panic!("expected the extracted session"),
+        };
+        let failures = cardiotouch_obs::counter("core.fleet.migration_failures");
+        let before = failures.get();
+        // Garbage bytes fail to decode; a 500 Hz snapshot decodes but
+        // fails to restore under the 250 Hz shard config.
+        let wrong_fs = BeatStream::new(PipelineConfig::paper_default(500.0))
+            .unwrap()
+            .snapshot()
+            .to_bytes();
+        for snapshot_bytes in [b"not a snapshot".to_vec(), wrong_fs] {
+            fleet.senders[0]
+                .send(ShardCmd::AdmitMigrated {
+                    session: Box::new(session.clone()),
+                    snapshot_bytes,
+                })
+                .unwrap();
+        }
+        // The worker drains its mailbox in order, so this run's reply
+        // follows both admissions.
+        let report = fleet.run(1).unwrap();
+        assert_eq!(report.sessions(), 0);
+        assert!(failures.get() >= before + 2);
+        fleet.shutdown();
     }
 
     #[test]

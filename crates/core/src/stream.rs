@@ -30,7 +30,7 @@ use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::fir::Fir;
 use cardiotouch_dsp::streaming::{HistoryRing, StreamingDerivative, StreamingZeroPhase};
 use cardiotouch_dsp::window::Window;
-use cardiotouch_dsp::zero_phase::{filtfilt_fir_into, ZeroPhaseScratch};
+use cardiotouch_dsp::zero_phase::{filtfilt_fir_at_into, ZeroPhaseScratch};
 use cardiotouch_ecg::online::OnlinePanTompkins;
 use cardiotouch_icg::filter::IcgConditioner;
 use cardiotouch_icg::online::{BeatDelineator, OnlineBeat};
@@ -899,6 +899,8 @@ impl BeatStream {
     /// local window is wide enough (±0.4 s around a ±0.04 s search) that
     /// the filtered interior is edge-effect free, so the argmax agrees
     /// with the batch apex wherever the slow baseline is locally smooth.
+    /// Only the search span is evaluated ([`filtfilt_fir_at_into`]),
+    /// bitwise equal to filtering the whole window and slicing it.
     fn refine_r(&mut self, r: usize) -> usize {
         let lo = r.saturating_sub(self.ctx).max(self.ecg_ring.base());
         let hi = (r + self.ctx + 1).min(self.ecg_ring.end());
@@ -906,14 +908,21 @@ impl BeatStream {
             return r;
         }
         let seg = self.ecg_ring.slice(lo, hi);
-        if filtfilt_fir_into(&self.ecg_fir, seg, &mut self.zp, &mut self.refine_buf).is_err() {
+        let s_lo = r.saturating_sub(self.search).max(lo);
+        let s_hi = (r + self.search + 1).min(hi).max(s_lo);
+        if filtfilt_fir_at_into(
+            &self.ecg_fir,
+            seg,
+            s_lo - lo..s_hi - lo,
+            &mut self.zp,
+            &mut self.refine_buf,
+        )
+        .is_err()
+        {
             return r;
         }
-        let s_lo = r.saturating_sub(self.search).max(lo);
-        let s_hi = (r + self.search + 1).min(hi);
         let mut best = (r, f64::MIN);
-        for i in s_lo..s_hi {
-            let v = self.refine_buf[i - lo];
+        for (i, &v) in (s_lo..s_hi).zip(&self.refine_buf) {
             if v > best.1 {
                 best = (i, v);
             }
@@ -1406,6 +1415,69 @@ mod tests {
         for (a, b) in out.iter().zip(&ref_out) {
             assert_eq!(qkey(a), qkey(b));
         }
+    }
+
+    /// Reference refinement: filter the whole clamped ±0.4 s window with
+    /// `filtfilt_fir`, then take the argmax over ±0.04 s.
+    fn refine_r_full_window(s: &BeatStream, r: usize) -> usize {
+        let lo = r.saturating_sub(s.ctx).max(s.ecg_ring.base());
+        let hi = (r + s.ctx + 1).min(s.ecg_ring.end());
+        if hi <= lo + 2 {
+            return r;
+        }
+        let y = cardiotouch_dsp::zero_phase::filtfilt_fir(&s.ecg_fir, s.ecg_ring.slice(lo, hi))
+            .unwrap();
+        let s_lo = r.saturating_sub(s.search).max(lo);
+        let s_hi = (r + s.search + 1).min(hi);
+        let mut best = (r, f64::MIN);
+        for i in s_lo..s_hi {
+            if y[i - lo] > best.1 {
+                best = (i, y[i - lo]);
+            }
+        }
+        best.0
+    }
+
+    #[test]
+    fn refine_r_matches_full_window_filtfilt_argmax() {
+        let rec = recording(3);
+        let hop = 250;
+        // Start 0.2 s before a true apex, so one apex sits inside the
+        // ±0.4 s refinement reach of stream start.
+        let first_r = rec.truth().r_peaks.iter().copied().find(|&r| r >= 100);
+        let start = first_r.unwrap() - 50;
+        let ecg = &rec.device_ecg()[start..];
+        let z = &rec.device_z()[start..];
+        let mut s = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
+        let mut refined = 0;
+        for (k, (e, zc)) in ecg.chunks_exact(hop).zip(z.chunks_exact(hop)).enumerate() {
+            // Rebuild the state this 1 s hop refines against: the raw
+            // ring with the hop appended, and every raw R pending or
+            // confirmed during the hop.
+            let mut probe = s.clone();
+            probe.ecg_ring.extend(e);
+            let mut qrs = s.qrs.clone();
+            let mut raw: Vec<usize> = s.raw_rs.iter().copied().collect();
+            raw.extend(e.iter().filter_map(|&v| qrs.push(v)));
+            let head = s.processed + hop;
+            let (due, kept): (Vec<usize>, Vec<usize>) =
+                raw.into_iter().partition(|&r| head > r + s.ctx);
+
+            s.push(e, zc).unwrap();
+            assert_eq!(s.raw_rs.iter().copied().collect::<Vec<_>>(), kept);
+            for r in due {
+                assert_eq!(probe.refine_r(r), refine_r_full_window(&probe, r), "R {r}");
+                refined += 1;
+            }
+            if k == 0 {
+                // Every position of the first second, the apex at 50
+                // included: windows clamped at the ring's base and end.
+                for r in 0..hop {
+                    assert_eq!(probe.refine_r(r), refine_r_full_window(&probe, r), "R {r}");
+                }
+            }
+        }
+        assert!(refined > 20, "only {refined} raw R refined");
     }
 
     #[test]

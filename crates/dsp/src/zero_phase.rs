@@ -11,6 +11,12 @@
 //! forward, reversed, filtered again, reversed back, and trimmed. The
 //! resulting effective magnitude response is the square of the underlying
 //! filter's and the phase is identically zero.
+//!
+//! [`filtfilt_fir_at_into`] evaluates the FIR construction at a sub-range
+//! only, bitwise equal to the same slice of the full result — the
+//! streaming R-apex refinement reads 21 samples of a 201-sample window.
+
+use std::ops::Range;
 
 use crate::fir::Fir;
 use crate::iir::Butterworth;
@@ -99,6 +105,80 @@ pub fn filtfilt_fir_into(
     scratch.padded.reverse();
     y.clear();
     y.extend_from_slice(&scratch.padded[ext..ext + x.len()]);
+    Ok(())
+}
+
+/// Windowed variant of [`filtfilt_fir_into`]: writes only
+/// `filtfilt_fir(filter, x)[at]` into `y` (cleared first), **bitwise**
+/// equal to that slice, without filtering the whole of `x`.
+///
+/// With `L` the padded length and `w` the forward pass over the padded
+/// signal `p`, the reverse / filter / reverse sequence leaves padded
+/// sample `q` equal to `Σ_{k=0..=min(L−1−q, order)} h[k]·w[q+k]`. So
+/// output `at` needs `w` only over padded `[ext+at.start,
+/// ext+at.end+order)` (clamped to `L`), and that span needs `p` only
+/// `order` samples further back. Both sums run in the same `k` order,
+/// from the same `0.0` start, as [`Fir::filter_into`], so every
+/// rounding step matches. The cost is `(|at| + order) + |at|` output
+/// evaluations instead of `2·L`.
+///
+/// # Errors
+///
+/// Returns [`DspError::InputTooShort`] when `x` has fewer than 2 samples
+/// or fewer than `at.end`.
+pub fn filtfilt_fir_at_into(
+    filter: &Fir,
+    x: &[f64],
+    at: Range<usize>,
+    scratch: &mut ZeroPhaseScratch,
+    y: &mut Vec<f64>,
+) -> Result<(), DspError> {
+    let order = filter.order();
+    let ext = checked_ext(x, order + 1)?;
+    if at.end > x.len() {
+        return Err(DspError::InputTooShort {
+            len: x.len(),
+            min_len: at.end,
+        });
+    }
+    let (h, n) = (filter.taps(), x.len());
+    let padded_len = n + 2 * ext;
+    let (fwd_lo, fwd_hi) = (ext + at.start, (ext + at.end + order).min(padded_len));
+    let pad_lo = fwd_lo.saturating_sub(order);
+
+    // Odd-reflected samples for padded [pad_lo, fwd_hi), offset pad_lo.
+    let p = &mut scratch.padded;
+    p.clear();
+    p.extend((pad_lo..fwd_hi).map(|i| {
+        if i < ext {
+            2.0 * x[0] - x[ext - i]
+        } else if i < ext + n {
+            x[i - ext]
+        } else {
+            2.0 * x[n - 1] - x[2 * (n - 1) + ext - i]
+        }
+    }));
+
+    // Forward pass over padded [fwd_lo, fwd_hi), offset fwd_lo.
+    let w = &mut scratch.work;
+    w.clear();
+    w.extend((fwd_lo..fwd_hi).map(|m| {
+        let mut acc = 0.0;
+        for k in 0..=m.min(order) {
+            acc += h[k] * p[m - k - pad_lo];
+        }
+        acc
+    }));
+
+    // Backward pass, evaluated only at `at`.
+    y.clear();
+    y.extend((fwd_lo..ext + at.end).map(|q| {
+        let mut acc = 0.0;
+        for k in 0..=(padded_len - 1 - q).min(order) {
+            acc += h[k] * w[q + k - fwd_lo];
+        }
+        acc
+    }));
     Ok(())
 }
 

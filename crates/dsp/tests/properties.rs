@@ -7,8 +7,8 @@ use cardiotouch_dsp::peaks;
 use cardiotouch_dsp::stats;
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{
-    filtfilt_fir, filtfilt_fir_into, filtfilt_iir, filtfilt_iir_ext, filtfilt_iir_ext_into,
-    filtfilt_iir_into, odd_reflect, ZeroPhaseScratch,
+    filtfilt_fir, filtfilt_fir_at_into, filtfilt_fir_into, filtfilt_iir, filtfilt_iir_ext,
+    filtfilt_iir_ext_into, filtfilt_iir_into, odd_reflect, ZeroPhaseScratch,
 };
 use proptest::prelude::*;
 
@@ -187,6 +187,41 @@ proptest! {
             prop_assert_eq!(y.len(), reference.len());
             for (a, b) in reference.iter().zip(&y) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn filtfilt_fir_at_bitwise_equals_full_slice(
+        x in signal(2, 300),
+        taps in prop::collection::vec(-1.0f64..1.0, 1..=65),
+        shape in 0usize..5,
+        a in any::<u32>(),
+        b in any::<u32>(),
+    ) {
+        // Up to 65 taps against inputs as short as 2 samples: the
+        // 3·(order+1) extension is clamped to len − 1 in most cases.
+        let f = Fir::from_taps(taps).unwrap();
+        let n = x.len();
+        let (i, j) = (a as usize % n, b as usize % (n + 1));
+        let at = match shape {
+            0 => i.min(j)..i.max(j),
+            1 => 0..j.max(1),
+            2 => i..n,
+            3 => i..i + 1,
+            _ => 0..n,
+        };
+        let full = filtfilt_fir(&f, &x).unwrap();
+        let mut scratch = ZeroPhaseScratch::new();
+        let mut y = vec![f64::NAN; 3];
+        // Dirty the scratch with a whole-signal pass first, then run the
+        // windowed pass twice through it.
+        filtfilt_fir_into(&f, &x, &mut scratch, &mut y).unwrap();
+        for _ in 0..2 {
+            filtfilt_fir_at_into(&f, &x, at.clone(), &mut scratch, &mut y).unwrap();
+            prop_assert_eq!(y.len(), at.len());
+            for (got, want) in y.iter().zip(&full[at.clone()]) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
             }
         }
     }

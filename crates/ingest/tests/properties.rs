@@ -1,15 +1,18 @@
 //! Property-based tests over the ingest wire format, decoder, log and
 //! reassembler: round-trip identity for arbitrary `f64` bit patterns,
 //! and never-panics / bounded-loss behaviour on truncated, bit-flipped
-//! and garbage-prefixed streams.
+//! and garbage-prefixed streams, checkpoint stores included.
 
-use cardiotouch_ingest::checkpoint::{recover_latest, Checkpoint, CheckpointStore};
+use cardiotouch_ingest::checkpoint::{
+    decode_checkpoint, encode_checkpoint, recover_latest, Checkpoint, CheckpointStore,
+    SessionCheckpoint, CHECKPOINT_MAGIC,
+};
 use cardiotouch_ingest::frame::MAX_FRAME_LEN;
 use cardiotouch_ingest::log::LOG_MAGIC;
-use cardiotouch_ingest::segment::{SegmentPolicy, SegmentedLog};
+use cardiotouch_ingest::segment::{LogPosition, SegmentPolicy, SegmentedLog};
 use cardiotouch_ingest::{
     encode_frame, Assembler, FrameView, IngestLog, LogReader, LossyWire, SessionEncoder,
-    WireDecoder, HEADER_LEN,
+    SessionResume, WireDecoder, HEADER_LEN,
 };
 use proptest::prelude::*;
 
@@ -38,6 +41,49 @@ fn encode_wire(session: u32, n: usize, len: usize) -> (Vec<u8>, Vec<usize>) {
 fn flush(dec: &mut WireDecoder, seqs: &mut Vec<u16>) {
     let zeros = vec![0u8; MAX_FRAME_LEN];
     dec.push(&zeros, |f| seqs.push(f.seq()));
+}
+
+/// A checkpoint whose every field derives from `bytes`: one session
+/// per 7-byte chunk, with parked slots and a snapshot cut from it.
+fn checkpoint_from(tag: u64, bytes: &[u8]) -> Checkpoint {
+    Checkpoint {
+        watermark: LogPosition {
+            segment: tag,
+            offset: bytes.len(),
+            chain: 0xC0DE ^ tag as u16,
+            frames: tag * 7,
+        },
+        sessions: bytes
+            .chunks(7)
+            .enumerate()
+            .map(|(i, c)| SessionCheckpoint {
+                session: i as u32 * 256 + u32::from(c[0]),
+                resume: SessionResume {
+                    started: c[0] & 1 == 1,
+                    next_seq: u16::from(c[0]) * 257,
+                    last_n: 125,
+                    parked: c
+                        .iter()
+                        .map(|&b| (b % 3 == 0).then(|| vec![b; usize::from(b % 5)]))
+                        .collect(),
+                },
+                snapshot: c.to_vec(),
+            })
+            .collect(),
+    }
+}
+
+/// Flips one bit of `data` per entry of `flips` (bit index modulo the
+/// length); a no-op on empty data.
+fn flip_bits(data: &mut [u8], flips: &[u32]) {
+    let bits = data.len() * 8;
+    if bits == 0 {
+        return;
+    }
+    for &f in flips {
+        let bit = f as usize % bits;
+        data[bit / 8] ^= 1 << (bit % 8);
+    }
 }
 
 proptest! {
@@ -382,5 +428,72 @@ proptest! {
         recovered_stream.extend(suffix);
         // replay(checkpoint + suffix) == replay(full log), bitwise.
         prop_assert_eq!(recovered_stream, frames);
+    }
+
+    #[test]
+    fn checkpoint_decoding_never_panics_on_untrusted_bytes(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..5),
+        cut in any::<u32>(),
+        flips in prop::collection::vec(any::<u32>(), 1..12),
+        garbage in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut store = CheckpointStore::new();
+        for (i, p) in payloads.iter().enumerate() {
+            store.append(&checkpoint_from(i as u64, p));
+        }
+        let bytes = store.as_bytes();
+        let truncated = &bytes[..cut as usize % (bytes.len() + 1)];
+        let mut flipped = bytes.to_vec();
+        flip_bits(&mut flipped, &flips);
+        let mut magic_then_garbage = CHECKPOINT_MAGIC.to_vec();
+        magic_then_garbage.extend_from_slice(&garbage);
+        let payload = encode_checkpoint(&checkpoint_from(9, &payloads[0]));
+        let mut flipped_payload = payload.clone();
+        flip_bits(&mut flipped_payload, &flips);
+        let cut_payload = &payload[..cut as usize % (payload.len() + 1)];
+
+        for data in [
+            truncated,
+            &flipped[..],
+            &garbage[..],
+            &magic_then_garbage[..],
+            &flipped_payload[..],
+            cut_payload,
+        ] {
+            let _ = decode_checkpoint(data);
+            let newest = recover_latest(data);
+            // Reopening agrees with recovery and keeps a byte prefix.
+            match CheckpointStore::from_valid_prefix(data) {
+                Ok((reopened, reopened_newest)) => {
+                    prop_assert_eq!(Ok(reopened_newest), newest);
+                    if !data.is_empty() {
+                        prop_assert!(data.starts_with(reopened.as_bytes()));
+                    }
+                }
+                Err(e) => prop_assert_eq!(Err(e), newest),
+            }
+        }
+    }
+
+    #[test]
+    fn bit_flipped_store_recovers_only_appended_checkpoints(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..5),
+        flips in prop::collection::vec(any::<u32>(), 1..4),
+    ) {
+        let appended: Vec<Checkpoint> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| checkpoint_from(i as u64, p))
+            .collect();
+        let mut store = CheckpointStore::new();
+        for c in &appended {
+            store.append(c);
+        }
+        let mut flipped = store.as_bytes().to_vec();
+        flip_bits(&mut flipped, &flips);
+        if let Ok(Some(r)) = recover_latest(&flipped) {
+            prop_assert!(appended.contains(&r.checkpoint));
+            prop_assert_eq!(appended.get(r.index as usize), Some(&r.checkpoint));
+        }
     }
 }
