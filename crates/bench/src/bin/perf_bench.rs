@@ -38,6 +38,9 @@
 //! one thread) and adds `fleet.pairs`.
 //! Schema v10 records the checked-out commit as `git_sha` and adds the
 //! `filtfilt_fir_at_refine` kernel row (the windowed R-apex refinement).
+//! The `streaming_zero_phase_lp20` and `streaming_zero_phase_hp04` rows
+//! time the ICG zero-phase stages in hop-sized pushes; they are extra
+//! rows under the same schema.
 //!
 //! `--ingest` adds the wire front-door leg (schema v7 `ingest`
 //! section): an [`INGEST_SESSIONS`]-session multiplexed wire stream
@@ -76,13 +79,14 @@ use cardiotouch::experiment::{run_position_study, StudyConfig};
 use cardiotouch::fleet::Fleet;
 use cardiotouch::pipeline::Pipeline;
 use cardiotouch::scheduler::{SessionFeed, SessionScheduler};
-use cardiotouch::stream::{BeatStream, ReanalysisBeatStream};
+use cardiotouch::stream::{icg_zero_phase_stages, BeatStream, ReanalysisBeatStream};
 use cardiotouch::wire::{FrontDoor, WireHub};
 use cardiotouch_device::uplink::{
     decode_stream_resync, missing_sequences, LossyLink, ParameterRecord,
 };
 use cardiotouch_dsp::design_cache;
 use cardiotouch_dsp::diff;
+use cardiotouch_dsp::streaming::StreamingDerivative;
 use cardiotouch_dsp::window::Window;
 use cardiotouch_dsp::zero_phase::{
     filtfilt_fir_at_into, filtfilt_fir_into, filtfilt_iir_into, ZeroPhaseScratch,
@@ -391,6 +395,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernels.push(time_kernel("derivative_into", n, min_elapsed, || {
         diff::derivative_into(z, fs, &mut out).expect("derivative");
     }));
+    // The ICG zero-phase stages as `BeatStream` runs them: one push per
+    // 1 s hop, the LP fed the hop's −dZ/dt and the HP fed what the LP
+    // settled. Each row counts the samples its stage is pushed.
+    let (lp_stage, hp_stage) = icg_zero_phase_stages(fs)?;
+    let mut deriv = StreamingDerivative::new(fs);
+    let neg_dz: Vec<Vec<f64>> = z
+        .chunks(hop)
+        .map(|c| {
+            c.iter()
+                .filter_map(|&v| deriv.push(v).map(|d| -d))
+                .collect()
+        })
+        .collect();
+    let mut lp = lp_stage.clone();
+    let lp_out: Vec<Vec<f64>> = neg_dz
+        .iter()
+        .map(|c| {
+            let mut settled = Vec::new();
+            lp.push_chunk(c, &mut settled);
+            settled
+        })
+        .collect();
+    for (name, stage, chunks) in [
+        ("streaming_zero_phase_lp20", &lp_stage, &neg_dz),
+        ("streaming_zero_phase_hp04", &hp_stage, &lp_out),
+    ] {
+        let samples = chunks.iter().map(Vec::len).sum();
+        kernels.push(time_kernel(name, samples, min_elapsed, || {
+            let mut stage = stage.clone();
+            for c in chunks {
+                out.clear();
+                stage.push_chunk(c, &mut out);
+            }
+        }));
+    }
 
     // --- Full pipeline, one session per iteration -----------------------
     let config = PipelineConfig::paper_default(fs);
@@ -515,7 +554,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| SessionFeed::clean(Arc::clone(&ecg_arc), Arc::clone(&z_arc), (i * 977) % n))
         .collect();
     let mut scheduler = SessionScheduler::new(config, feeds)?;
-    let sched = scheduler.run(ticks)?;
+    let sched = scheduler.run(ticks);
 
     // --- Sharded fleet scaling (gated behind --fleet) ---------------------
     // The same session workload through 1 worker shard and FLEET_SHARDS
@@ -702,7 +741,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
         let mut fsched = SessionScheduler::new(config, feeds)?;
-        let fr = fsched.run(ticks)?;
+        let fr = fsched.run(ticks);
         assert!(fr.session_errors >= 1, "the hard fault was never hit");
         assert!(
             fr.session_recoveries >= 1,

@@ -57,7 +57,8 @@
 //! `core.fleet.enqueued`, `core.fleet.rejected`,
 //! `core.fleet.migrations`, `core.fleet.migration_failures` (a
 //! migrated snapshot the destination shard could not decode or
-//! restore), `core.fleet.restarts`, `core.fleet.checkpoints`,
+//! restore), `core.fleet.admit_failures` (a fresh feed the shard's
+//! scheduler refused), `core.fleet.restarts`, `core.fleet.checkpoints`,
 //! `core.fleet.compactions` (counters),
 //! `core.fleet.rebalance_us`, `core.fleet.checkpoint_us` (histograms).
 //! Per shard `i`, the embedded scheduler publishes
@@ -243,6 +244,7 @@ fn shard_main(
     let mut wire: BTreeMap<u32, (BeatStream, Vec<crate::stream::QualifiedBeat>)> = BTreeMap::new();
     let wire_beats = cardiotouch_obs::counter(&format!("core.fleet.shard{shard}.wire_beats"));
     let migration_failures = cardiotouch_obs::counter("core.fleet.migration_failures");
+    let admit_failures = cardiotouch_obs::counter("core.fleet.admit_failures");
     loop {
         let cmd = match rx.recv_timeout(WORKER_IDLE_TICK) {
             Ok(cmd) => cmd,
@@ -256,9 +258,12 @@ fn shard_main(
         health.beat();
         match cmd {
             ShardCmd::Admit(feed) => {
-                // Feeds are validated fleet-side; an engine construction
-                // failure here would also have failed shard startup.
-                let _ = sched.admit(*feed);
+                // Feeds are validated fleet-side and an engine
+                // construction failure would also have failed shard
+                // startup, but a refused feed is a lost session: count it.
+                if sched.admit(*feed).is_err() {
+                    admit_failures.inc();
+                }
             }
             ShardCmd::AdmitMigrated {
                 mut session,
@@ -281,7 +286,7 @@ fn shard_main(
             }
             ShardCmd::Run { ticks } => {
                 for _ in 0..ticks {
-                    let _ = sched.tick();
+                    sched.tick();
                     // A long run is live work, not a stall.
                     health.beat();
                 }
@@ -1448,7 +1453,7 @@ mod tests {
         // Reference: one scheduler, 6 ticks.
         let mut single = SessionScheduler::new(config, vec![f.clone()]).unwrap();
         for _ in 0..6 {
-            single.tick().unwrap();
+            single.tick();
         }
         let want = single.report(1.0);
 
@@ -1469,7 +1474,7 @@ mod tests {
 
         let mut reference = SessionScheduler::new(config, vec![f.clone()]).unwrap();
         for _ in 0..10 {
-            reference.tick().unwrap();
+            reference.tick();
         }
         let want = reference.report(1.0);
 
@@ -1924,6 +1929,24 @@ mod tests {
         let report = fleet.run(1).unwrap();
         assert_eq!(report.sessions(), 0);
         assert!(failures.get() >= before + 2);
+        fleet.shutdown();
+    }
+
+    #[test]
+    fn failed_shard_admission_is_counted() {
+        let config = PipelineConfig::paper_default(250.0);
+        let mut fleet = Fleet::new(config, 1, 8).unwrap();
+        let failures = cardiotouch_obs::counter("core.fleet.admit_failures");
+        let before = failures.get();
+        // `Fleet::admit` validates feeds; a mismatched one sent straight
+        // to the shard is refused by its scheduler.
+        let bad = SessionFeed::clean(Arc::new(vec![0.5; 500]), Arc::new(vec![430.0; 499]), 0);
+        fleet.senders[0]
+            .send(ShardCmd::Admit(Box::new(bad)))
+            .unwrap();
+        let report = fleet.run(1).unwrap();
+        assert_eq!(report.sessions(), 0);
+        assert!(failures.get() > before);
         fleet.shutdown();
     }
 

@@ -414,14 +414,10 @@ impl SessionScheduler {
     /// ticks (`MAX_BACKOFF_TICKS`; its cursor still advances — the
     /// signal it missed while down is gone, exactly as on a real
     /// uplink), then retries with a freshly constructed engine. A clean
-    /// retry resets the backoff and counts as a recovery.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice: feeds are validated at construction and
-    /// engine errors are absorbed into quarantine. The `Result` is kept
-    /// for API stability.
-    pub fn tick(&mut self) -> Result<(), CoreError> {
+    /// retry resets the backoff and counts as a recovery. Feeds are
+    /// validated at admission and engine errors are absorbed into
+    /// quarantine, so a tick cannot fail.
+    pub fn tick(&mut self) {
         let hop = self.hop;
         let config = self.config;
         let hop_us = self.tick_hop_us();
@@ -431,7 +427,6 @@ impl SessionScheduler {
             Self::settle(slot, outcome, ns, &mut self.hop_hist, &hop_us, &mut tallies);
         }
         self.finish_tick(&tallies);
-        Ok(())
     }
 
     /// The exported hop-latency sink for this tick: the first tick's
@@ -536,17 +531,13 @@ impl SessionScheduler {
     }
 
     /// Runs `ticks` hops and returns the aggregate report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors from [`SessionScheduler::tick`].
-    pub fn run(&mut self, ticks: usize) -> Result<ScheduleReport, CoreError> {
+    pub fn run(&mut self, ticks: usize) -> ScheduleReport {
         let start = Instant::now();
         for _ in 0..ticks {
-            self.tick()?;
+            self.tick();
         }
         let elapsed_s = start.elapsed().as_secs_f64();
-        Ok(self.report(elapsed_s))
+        self.report(elapsed_s)
     }
 
     /// Builds the report for everything ticked so far. Quantiles come
@@ -614,7 +605,7 @@ mod tests {
     fn schedules_many_sessions_and_reports_throughput() {
         let mut sched =
             SessionScheduler::new(PipelineConfig::paper_default(250.0), feeds(8)).unwrap();
-        let report = sched.run(12).unwrap();
+        let report = sched.run(12);
         assert_eq!(report.sessions, 8);
         assert_eq!(report.ticks, 12);
         assert!((report.session_seconds - 96.0).abs() < 1e-9);
@@ -630,7 +621,7 @@ mod tests {
         let run = |count: usize| -> usize {
             let mut sched =
                 SessionScheduler::new(PipelineConfig::paper_default(250.0), feeds(count)).unwrap();
-            sched.run(10).unwrap();
+            sched.run(10);
             sched.slots[0].beats
         };
         assert_eq!(run(1), run(6));
@@ -641,7 +632,7 @@ mod tests {
         let mut sched =
             SessionScheduler::new(PipelineConfig::paper_default(250.0), feeds(2)).unwrap();
         // 40 ticks × 1 s > the 30 s template: the feed must wrap, not panic.
-        let report = sched.run(40).unwrap();
+        let report = sched.run(40);
         assert_eq!(report.ticks, 40);
         assert!(report.beats > 0);
     }
@@ -664,7 +655,7 @@ mod tests {
         let scenario = Arc::new(FaultScenario::parse("fail@5s+1s", 250.0).unwrap());
         all[2] = all[2].clone().with_faults(scenario);
         let mut sched = SessionScheduler::new(PipelineConfig::paper_default(250.0), all).unwrap();
-        let report = sched.run(20).unwrap();
+        let report = sched.run(20);
         assert_eq!(report.ticks, 20, "the tick loop must never fail");
         assert!(report.session_errors >= 1, "the fault must surface");
         assert!(
@@ -683,7 +674,7 @@ mod tests {
         let scenario = Arc::new(FaultScenario::parse("drop@4s+3s,sat=0.4@12s+2s", 250.0).unwrap());
         all[1] = all[1].clone().with_faults(scenario);
         let mut sched = SessionScheduler::new(PipelineConfig::paper_default(250.0), all).unwrap();
-        let report = sched.run(25).unwrap();
+        let report = sched.run(25);
         assert_eq!(report.session_errors, 0);
         assert!(report.beats > 0);
         // The faulted session still produces beats (clean stretches),
@@ -697,11 +688,11 @@ mod tests {
         let cfg = PipelineConfig::paper_default(250.0);
         // Reference: one scheduler runs a single session for 20 ticks.
         let mut reference = SessionScheduler::new(cfg, feeds(1)).unwrap();
-        reference.run(20).unwrap();
+        reference.run(20);
         // Migrated: 8 ticks on shard A, move the session, 12 on shard B.
         let mut a = SessionScheduler::new(cfg, feeds(1)).unwrap();
         for _ in 0..8 {
-            a.tick().unwrap();
+            a.tick();
         }
         let m = a.extract_migratable().expect("one healthy session");
         assert_eq!(a.sessions(), 0);
@@ -709,7 +700,7 @@ mod tests {
         let mut b = SessionScheduler::new(cfg, Vec::new()).unwrap();
         b.admit_migrated(&m).unwrap();
         for _ in 0..12 {
-            b.tick().unwrap();
+            b.tick();
         }
         assert_eq!(b.slots[0].beats, reference.slots[0].beats);
         assert_eq!(b.slots[0].cursor, reference.slots[0].cursor);
@@ -727,7 +718,7 @@ mod tests {
         let mut sched = SessionScheduler::new(PipelineConfig::paper_default(250.0), feeds)
             .unwrap()
             .with_metric_prefix("test.scheduler.extract_skips");
-        sched.run(3).unwrap();
+        sched.run(3);
         let report = sched.report(1.0);
         assert_eq!(report.sessions_quarantined, 1);
         assert_eq!(
@@ -750,10 +741,10 @@ mod tests {
     fn admit_grows_the_slab_mid_run() {
         let mut sched =
             SessionScheduler::new(PipelineConfig::paper_default(250.0), feeds(1)).unwrap();
-        sched.run(2).unwrap();
+        sched.run(2);
         sched.admit(feeds(1).pop().unwrap()).unwrap();
         assert_eq!(sched.sessions(), 2);
-        sched.run(2).unwrap();
+        sched.run(2);
         assert!(sched.slots[1].cursor == 2 * 250);
     }
 
@@ -766,7 +757,7 @@ mod tests {
         let scenario = Arc::new(FaultScenario::parse("fail@0+3600s", 250.0).unwrap());
         let feeds = vec![SessionFeed::clean(ecg, z, 0).with_faults(scenario)];
         let mut sched = SessionScheduler::new(PipelineConfig::paper_default(250.0), feeds).unwrap();
-        let report = sched.run(200).unwrap();
+        let report = sched.run(200);
         // With 1+2+4+…+32+32… backoff, 200 ticks see ~9 attempts, far
         // fewer than the 200 a retry-every-tick policy would burn.
         assert!(

@@ -406,7 +406,9 @@ impl Writer {
 
     fn zero_phase(&mut self, s: &ZeroPhaseState) {
         self.cascade(&s.forward);
-        self.vec_f64(&s.pending);
+        // The retired block-quantum input buffer: always empty, kept so
+        // the v2 layout is unchanged.
+        self.vec_f64(&[]);
         self.vec_f64(&s.tail);
         self.bool(s.primed);
     }
@@ -513,9 +515,17 @@ impl<'a> Reader<'a> {
     }
 
     fn zero_phase(&mut self) -> Result<ZeroPhaseState, CoreError> {
+        let forward = self.cascade()?;
+        // A non-empty slot is buffered input of the retired
+        // block-quantized engine: resuming it here would silently drop
+        // those samples, so refuse it.
+        if !self.vec_f64()?.is_empty() {
+            return Err(malformed(
+                "zero-phase pending slot must be empty (block-quantized engine state)",
+            ));
+        }
         Ok(ZeroPhaseState {
-            forward: self.cascade()?,
-            pending: self.vec_f64()?,
+            forward,
             tail: self.vec_f64()?,
             primed: self.bool()?,
         })
@@ -559,6 +569,38 @@ mod tests {
         let bytes = snap.to_bytes();
         let back = BeatStreamSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn block_quantized_zero_phase_state_is_rejected() {
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
+        let e: Vec<f64> = (0..1100).map(|i| (i as f64 * 0.37).sin()).collect();
+        let z: Vec<f64> = (0..1100).map(|i| 470.0 + (i as f64 * 0.11).cos()).collect();
+        stream.push(&e, &z).unwrap();
+        let snap = stream.snapshot();
+        let bytes = snap.to_bytes();
+        // Locate the HP stage's empty pending slot: it follows the HP
+        // forward-cascade registers, which are non-zero after 4 hops.
+        let mut w = Writer::new();
+        w.cascade(&snap.hp.forward);
+        let slot = bytes
+            .windows(w.buf.len())
+            .position(|win| win == w.buf.as_slice())
+            .expect("HP cascade registers in the encoding")
+            + w.buf.len();
+        assert_eq!(bytes[slot..slot + 8], [0; 8]);
+        // The same document with one sample buffered there, as the
+        // block-quantized engine would have written it.
+        let mut w = Writer::new();
+        w.vec_f64(&[0.25]);
+        let mut old_engine = bytes[..slot].to_vec();
+        old_engine.extend_from_slice(&w.buf);
+        old_engine.extend_from_slice(&bytes[slot + 8..]);
+        assert!(matches!(
+            BeatStreamSnapshot::from_bytes(&old_engine),
+            Err(CoreError::InvalidParameter { constraint, .. }) if constraint.contains("pending")
+        ));
+        assert_eq!(BeatStreamSnapshot::from_bytes(&bytes).unwrap(), snap);
     }
 
     #[test]

@@ -374,6 +374,44 @@ pub struct BeatStream {
     hop_us: cardiotouch_obs::Histogram,
 }
 
+/// The ICG path's two zero-phase stages, `(LP 20 Hz, HP 0.4 Hz)`, as
+/// [`BeatStream`] configures them at sampling rate `fs`.
+///
+/// They mirror the batch conditioner's designs (shared via the design
+/// cache) and edge extensions. Settle margins: the 20 Hz low-pass
+/// transient dies in tens of samples (0.5 s is ~24 time constants); the
+/// 0.4 Hz high-pass rings for ~0.56 s, so 2 s of right context leaves
+/// ~1% residual — well inside the B/X detection tolerances.
+///
+/// The stream pushes exactly one hop through them per call: the LP gets
+/// the derivative's new samples (`hop − 1` on a stream's first hop,
+/// `hop` after), the HP whatever the LP settled. Each push runs one
+/// backward pass, so the hop is their only processing quantum and
+/// emissions stay a pure function of the hop sequence.
+///
+/// # Errors
+///
+/// Propagates filter-design errors.
+pub fn icg_zero_phase_stages(
+    fs: f64,
+) -> Result<(StreamingZeroPhase, StreamingZeroPhase), CoreError> {
+    let lp_filter = design_cache::butterworth_lowpass(IcgConditioner::DEFAULT_ORDER, 20.0, fs)
+        .map_err(cardiotouch_icg::IcgError::from)?;
+    let hp_filter = design_cache::butterworth_highpass(2, IcgConditioner::HIGHPASS_HZ, fs)
+        .map_err(cardiotouch_icg::IcgError::from)?;
+    let lp = StreamingZeroPhase::new(
+        lp_filter,
+        (0.5 * fs) as usize,
+        3 * 6 * (IcgConditioner::DEFAULT_ORDER + 1),
+    );
+    let hp = StreamingZeroPhase::new(
+        hp_filter,
+        (2.0 * fs) as usize,
+        (fs / IcgConditioner::HIGHPASS_HZ) as usize,
+    );
+    Ok((lp, hp))
+}
+
 impl BeatStream {
     /// Creates an incremental stream for the given configuration.
     ///
@@ -384,17 +422,7 @@ impl BeatStream {
         config.validate()?;
         let fs = config.fs;
         let hop = fs as usize;
-        // The zero-phase stages mirror the batch conditioner's designs
-        // (shared via the design cache) and edge extensions. Settle
-        // margins: the 20 Hz low-pass transient dies in tens of samples
-        // (0.5 s is ~24 time constants); the 0.4 Hz high-pass rings for
-        // ~0.56 s, so 2 s of right context leaves ~1% residual — well
-        // inside the B/X detection tolerances.
-        let lp_filter = design_cache::butterworth_lowpass(IcgConditioner::DEFAULT_ORDER, 20.0, fs)
-            .map_err(cardiotouch_icg::IcgError::from)?;
-        let hp_filter = design_cache::butterworth_highpass(2, IcgConditioner::HIGHPASS_HZ, fs)
-            .map_err(cardiotouch_icg::IcgError::from)?;
-        let block = (hop / 2).max(1);
+        let (lp, hp) = icg_zero_phase_stages(fs)?;
         Ok(Self {
             config,
             hop,
@@ -417,18 +445,8 @@ impl BeatStream {
             ctx: (0.4 * fs) as usize,
             search: (0.04 * fs) as usize,
             deriv: StreamingDerivative::new(fs),
-            lp: StreamingZeroPhase::new(
-                lp_filter,
-                (0.5 * fs) as usize,
-                3 * 6 * (IcgConditioner::DEFAULT_ORDER + 1),
-                block,
-            ),
-            hp: StreamingZeroPhase::new(
-                hp_filter,
-                (2.0 * fs) as usize,
-                (fs / IcgConditioner::HIGHPASS_HZ) as usize,
-                block,
-            ),
+            lp,
+            hp,
             neg_buf: Vec::new(),
             lp_buf: Vec::new(),
             hp_buf: Vec::new(),
@@ -1169,6 +1187,38 @@ mod tests {
             &small[..common.min(small.len())],
             &large[..common.min(large.len())]
         );
+    }
+
+    #[test]
+    fn delineator_lags_the_hop_clock_by_exactly_the_settle_budget() {
+        // The §6b zero-phase latency budget as a check: after hop k the
+        // delineator holds exactly k·hop − 1 (derivative) − LP settle −
+        // HP settle samples, with no block-quantum term.
+        let rec = recording(3);
+        let mut stream = BeatStream::new(PipelineConfig::paper_default(250.0)).unwrap();
+        let (hop, lp, hp) = (
+            stream.hop,
+            stream.lp.settle_samples(),
+            stream.hp.settle_samples(),
+        );
+        let (ecg, z) = (rec.device_ecg(), rec.device_z());
+        // Offset chunks, so hop boundaries fall inside pushes.
+        let mut fed = 0;
+        for c in std::iter::once(97).chain(std::iter::repeat(hop)) {
+            let c = c.min(ecg.len() - fed);
+            if c == 0 {
+                break;
+            }
+            stream.push(&ecg[fed..fed + c], &z[fed..fed + c]).unwrap();
+            fed += c;
+            let k = fed / hop;
+            assert_eq!(
+                stream.delineator.samples_end(),
+                (k * hop).saturating_sub(1 + lp + hp),
+                "after hop {k}"
+            );
+        }
+        assert!(fed / hop >= 20);
     }
 
     #[test]

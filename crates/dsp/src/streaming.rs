@@ -15,9 +15,10 @@
 //!   [`crate::diff::derivative`] with one sample of latency;
 //! * [`StreamingZeroPhase`] — an incremental emulation of
 //!   [`crate::zero_phase::filtfilt_iir`]: the forward pass streams with
-//!   persistent state, and the anti-causal backward pass is re-run over a
-//!   bounded unsettled tail, emitting samples once enough right-context
-//!   has accumulated for the backward transient to die out.
+//!   persistent state, and the anti-causal backward pass is re-run once
+//!   per pushed chunk over a bounded unsettled tail, emitting samples
+//!   once enough right-context has accumulated for the backward
+//!   transient to die out.
 //!
 //! All kernels share coefficient sets behind [`std::sync::Arc`] (obtained
 //! from [`crate::design_cache`]), so a thousand concurrent sessions hold
@@ -25,17 +26,18 @@
 //!
 //! Causal kernels are **bitwise-identical** to their batch counterparts
 //! and chunk-size invariant (pinned by the tests below). The zero-phase
-//! emulation is chunk-size invariant by construction — it advances in
-//! whatever chunks the caller sends but its output for a given sample
-//! index depends only on the sample count seen, never on chunk
-//! boundaries — and converges to the batch `filtfilt` interior at a rate
-//! set by the settle delay.
+//! emulation is not: each `push_chunk` is one processing quantum costing
+//! `O(chunk + tail + ext)`, and its output is a pure function of the
+//! chunk sequence. Callers quantize — the incremental engine
+//! (`core::stream::BeatStream`) pushes exactly one hop per call, which
+//! is where chunk-size invariance is proven. The output converges to
+//! the batch `filtfilt` interior at a rate set by the settle delay.
 //!
 //! # State snapshots
 //!
 //! Every kernel exposes a `snapshot()`/`restore()` pair over a plain-data
 //! `*State` struct carrying exactly its mutable state — delay lines,
-//! ring positions, pending buffers — and **never** its coefficients,
+//! ring positions, unsettled tails — and **never** its coefficients,
 //! which are shared behind `Arc` and re-derived from
 //! [`crate::design_cache`] on the restoring side. Restoring a snapshot
 //! into a freshly designed kernel of the same shape resumes the stream
@@ -391,26 +393,23 @@ pub struct DerivativeState {
 /// — cost `O(chunk)`. The backward pass is anti-causal: the batch
 /// [`crate::zero_phase::filtfilt_iir`] warms it with the entire future.
 /// Here the backward recursion is instead re-run over the unsettled tail
-/// once per internal `block`, primed with an even reflection at the
-/// rolling head (the same edge-extension device the batch path uses at
-/// the true record end). A sample is *settled* — emitted, never revisited
-/// — once `settle` newer samples exist, by which point the backward
-/// transient has decayed by `exp(−settle / τ)` for a filter time constant
-/// of `τ` samples.
+/// once per [`StreamingZeroPhase::push_chunk`], primed with an even
+/// reflection at the rolling head (the same edge-extension device the
+/// batch path uses at the true record end). A sample is *settled* —
+/// emitted, never revisited — once `settle` newer samples exist, by which
+/// point the backward transient has decayed by `exp(−settle / τ)` for a
+/// filter time constant of `τ` samples.
 ///
-/// Input is quantized into fixed `block`-sample units internally:
-/// arbitrary caller chunking is accumulated and processed in exact block
-/// multiples, so the emitted stream after `n` pushed samples is a pure
-/// function of the first `⌊n/block⌋·block` samples — **bitwise chunk-size
-/// invariant** by construction. Per-sample amortized cost is
-/// `O(1 + (settle + ext) / block)` — independent of stream length and of
-/// any analysis-window notion upstream.
+/// Each call is one processing quantum: the output is a pure function of
+/// the sequence of chunks pushed, not of the sample count alone, so
+/// callers that need chunk-size invariance quantize their input (the
+/// incremental engine pushes exactly one hop per call). A call costs
+/// `O(chunk + tail + ext)`, and the tail never holds more than
+/// `settle + chunk` samples.
 #[derive(Debug, Clone)]
 pub struct StreamingZeroPhase {
     forward: StreamingCascade,
     backward: StreamingCascade,
-    /// Raw input awaiting a complete block.
-    pending: Vec<f64>,
     /// Forward-pass outputs not yet settled.
     tail: Vec<f64>,
     /// Samples of right-context required before a sample settles.
@@ -418,10 +417,6 @@ pub struct StreamingZeroPhase {
     /// Edge-extension length priming the backward pass at the rolling
     /// head (and the forward pass at stream start).
     ext: usize,
-    /// Internal processing quantum in samples.
-    block: usize,
-    /// Scratch for the reversed, edge-extended tail.
-    scratch: Vec<f64>,
     /// `true` once the stream-start forward priming has run.
     primed: bool,
 }
@@ -430,126 +425,107 @@ impl StreamingZeroPhase {
     /// Creates the stage. `settle` is the right-context requirement in
     /// samples; `ext` the reflection length used to prime the forward
     /// pass at stream start and the backward pass at the rolling head
-    /// (clamped to the available signal); `block` the internal processing
-    /// quantum (worst-case added latency is `settle + block − 1` input
-    /// samples).
+    /// (clamped to the available signal).
     #[must_use]
-    pub fn new(filter: Arc<Butterworth>, settle: usize, ext: usize, block: usize) -> Self {
+    pub fn new(filter: Arc<Butterworth>, settle: usize, ext: usize) -> Self {
         Self {
             forward: StreamingCascade::new(Arc::clone(&filter)),
             backward: StreamingCascade::new(filter),
-            pending: Vec::new(),
             tail: Vec::new(),
             settle: settle.max(1),
             ext,
-            block: block.max(1),
-            scratch: Vec::new(),
             primed: false,
         }
     }
 
     /// The settle delay in samples: the right-context requirement before
-    /// a sample is emitted. Worst-case end-to-end latency adds one block:
-    /// `settle + block − 1`.
+    /// a sample is emitted.
     #[must_use]
     pub fn settle_samples(&self) -> usize {
         self.settle
     }
 
-    /// The internal processing quantum in samples.
-    #[must_use]
-    pub fn block_samples(&self) -> usize {
-        self.block
-    }
-
     /// Returns the stage to its start-of-stream state: both cascades are
-    /// zeroed, buffered input and unsettled tail are dropped, and the next
-    /// block re-runs the stream-start forward priming. Used for
+    /// zeroed, the unsettled tail is dropped, and the next non-empty
+    /// chunk re-runs the stream-start forward priming. Used for
     /// warm-restarting a pipeline after signal loss — the discarded tail
     /// was conditioned from pre-loss signal and must not leak across the
     /// restart.
     pub fn reset(&mut self) {
         self.forward.reset();
         self.backward.reset();
-        self.pending.clear();
         self.tail.clear();
         self.primed = false;
     }
 
     /// Pushes a chunk and appends every newly settled zero-phase output
-    /// sample to `out`. Output order across calls is the input order; the
-    /// emitted stream lags the input by at most
-    /// `settle_samples() + block_samples() − 1`.
+    /// sample to `out`, in input order. The chunk is forward-filtered
+    /// into the tail, then one backward pass over the reflection and the
+    /// whole tail settles everything except the newest
+    /// `settle_samples()` samples. Cost is `O(chunk + tail + ext)` per
+    /// call, so callers should quantize: many small pushes re-run the
+    /// backward pass many times.
     pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
-        self.pending.extend_from_slice(chunk);
-        let mut consumed = 0;
-        while self.pending.len() - consumed >= self.block {
-            let (lo, hi) = (consumed, consumed + self.block);
-            self.process_block_range(lo, hi, out);
-            consumed = hi;
+        if chunk.is_empty() {
+            return;
         }
-        self.pending.drain(..consumed);
-    }
-
-    /// Forward-filters `pending[lo..hi]` into the tail, then runs the
-    /// bounded backward pass and emits newly settled samples.
-    fn process_block_range(&mut self, lo: usize, hi: usize, out: &mut Vec<f64>) {
         if !self.primed {
             // Mimic the batch left edge: run the forward state over an
-            // even reflection of the first block so the first real sample
+            // even reflection of the first chunk so the first real sample
             // is approached from plausible history rather than silence.
-            let ext = self.ext.min(hi - lo - 1);
-            for i in (lo + 1..=lo + ext).rev() {
-                let _ = self.forward.push(self.pending[i]);
+            let ext = self.ext.min(chunk.len() - 1);
+            for &v in chunk[1..=ext].iter().rev() {
+                let _ = self.forward.push(v);
             }
             self.primed = true;
         }
         let start = self.tail.len();
-        self.tail.extend_from_slice(&self.pending[lo..hi]);
+        self.tail.extend_from_slice(chunk);
         for v in &mut self.tail[start..] {
             *v = self.forward.push(*v);
         }
 
-        let settled = self.tail.len().saturating_sub(self.settle);
+        let len = self.tail.len();
+        let settled = len.saturating_sub(self.settle);
         if settled == 0 {
             return;
         }
-        // Backward pass over the whole tail, newest first, primed by an
-        // even reflection about the newest sample.
-        let ext = self.ext.min(self.tail.len().saturating_sub(1));
-        self.scratch.clear();
-        self.scratch.reserve(self.tail.len() + ext);
-        for i in (self.tail.len() - 1 - ext)..self.tail.len() - 1 {
-            self.scratch.push(self.tail[i]);
-        }
-        self.scratch.extend(self.tail.iter().rev());
+        // Backward pass, newest first, primed by an even reflection
+        // about the newest sample: `tail[len−1−ext..len−1]` in order,
+        // then the tail from newest to oldest. Only the oldest `settled`
+        // outputs are kept; they arrive newest-first, so the appended
+        // run is reversed in place.
+        let ext = self.ext.min(len - 1);
         self.backward.reset();
-        self.backward.process_in_place(&mut self.scratch);
-        // The oldest `settled` samples sit at the end of the reversed
-        // scratch; emit them oldest-first and drop them from the tail.
-        let n = self.scratch.len();
-        for i in 0..settled {
-            out.push(self.scratch[n - 1 - i]);
+        for &v in &self.tail[len - 1 - ext..len - 1] {
+            let _ = self.backward.push(v);
         }
+        let (older, newer) = self.tail.split_at(settled);
+        for &v in newer.iter().rev() {
+            let _ = self.backward.push(v);
+        }
+        let first = out.len();
+        for &v in older.iter().rev() {
+            out.push(self.backward.push(v));
+        }
+        out[first..].reverse();
         self.tail.drain(..settled);
     }
 
     /// Captures the mutable zero-phase state: forward-cascade registers,
-    /// buffered input, unsettled tail and the priming flag. The backward
-    /// cascade is reset before every block and the scratch buffer is
-    /// pure workspace, so neither is part of the state.
+    /// unsettled tail and the priming flag. The backward cascade is
+    /// reset before every pass, so it is not part of the state.
     #[must_use]
     pub fn snapshot(&self) -> ZeroPhaseState {
         ZeroPhaseState {
             forward: self.forward.snapshot(),
-            pending: self.pending.clone(),
             tail: self.tail.clone(),
             primed: self.primed,
         }
     }
 
     /// Overwrites the mutable state from a snapshot. The stage must have
-    /// been constructed with the same design and `settle`/`ext`/`block`
+    /// been constructed with the same design and `settle`/`ext`
     /// parameters for the resumed stream to be bitwise identical.
     ///
     /// # Errors
@@ -559,8 +535,6 @@ impl StreamingZeroPhase {
     pub fn restore(&mut self, state: &ZeroPhaseState) -> Result<(), DspError> {
         self.forward.restore(&state.forward)?;
         self.backward.reset();
-        self.pending.clear();
-        self.pending.extend_from_slice(&state.pending);
         self.tail.clear();
         self.tail.extend_from_slice(&state.tail);
         self.primed = state.primed;
@@ -573,8 +547,6 @@ impl StreamingZeroPhase {
 pub struct ZeroPhaseState {
     /// Forward-pass cascade registers.
     pub forward: CascadeState,
-    /// Raw input awaiting a complete block.
-    pub pending: Vec<f64>,
     /// Forward-pass outputs not yet settled.
     pub tail: Vec<f64>,
     /// Whether the stream-start forward priming has run.
@@ -793,7 +765,7 @@ mod tests {
         let f = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
         let x = signal(3000);
         let batch = filtfilt_iir(&f, &x).unwrap();
-        let mut s = StreamingZeroPhase::new(Arc::clone(&f), (0.5 * FS) as usize, 90, 250);
+        let mut s = StreamingZeroPhase::new(Arc::clone(&f), (0.5 * FS) as usize, 90);
         let mut out = Vec::new();
         for chunk in x.chunks(250) {
             s.push_chunk(chunk, &mut out);
@@ -811,39 +783,175 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zero_phase_is_chunk_size_invariant() {
-        let f = design_cache::butterworth_highpass(2, 0.4, FS).unwrap();
-        let x = signal(2000);
-        let run = |chunks: &[usize]| {
-            let mut s = StreamingZeroPhase::new(Arc::clone(&f), (2.0 * FS) as usize, 250, 50);
-            let mut out = Vec::new();
-            let mut fed = 0;
-            let mut k = 0;
-            while fed < x.len() {
-                let c = chunks[k % chunks.len()].min(x.len() - fed);
-                s.push_chunk(&x[fed..fed + c], &mut out);
-                fed += c;
-                k += 1;
+    /// Pushes `x` in the repeating chunk pattern `chunks`, returning each
+    /// push's emitted run.
+    fn push_pattern(s: &mut StreamingZeroPhase, x: &[f64], chunks: &[usize]) -> Vec<Vec<f64>> {
+        let mut runs = Vec::new();
+        let mut fed = 0;
+        for &c in chunks.iter().cycle() {
+            if fed == x.len() {
+                break;
             }
-            out
-        };
-        let a = run(&[250]);
-        let b = run(&[37, 113, 1, 499]);
-        let n = a.len().min(b.len());
-        assert!(n > 1000);
-        assert_eq!(a[..n], b[..n]);
+            let c = c.min(x.len() - fed);
+            let mut run = Vec::new();
+            s.push_chunk(&x[fed..fed + c], &mut run);
+            runs.push(run);
+            fed += c;
+        }
+        runs
+    }
+
+    #[test]
+    fn zero_phase_chunk_sequence_is_reproducible_and_settles_all_but_settle() {
+        // Each push is one quantum: the same chunk sequence must give
+        // bitwise-equal output from a fresh, a reset and a restored
+        // stage, and once primed a push emits everything but the newest
+        // `settle` samples of the tail.
+        let f = design_cache::butterworth_highpass(2, 0.4, FS).unwrap();
+        let (settle, ext) = ((2.0 * FS) as usize, 625);
+        let x = signal(3000);
+        let pattern = [250, 249, 37, 1, 613, 0, 250];
+        let fresh = push_pattern(
+            &mut StreamingZeroPhase::new(Arc::clone(&f), settle, ext),
+            &x,
+            &pattern,
+        );
+
+        let mut reset = StreamingZeroPhase::new(Arc::clone(&f), settle, ext);
+        reset.push_chunk(&signal(900)[..], &mut Vec::new());
+        reset.reset();
+        assert_eq!(push_pattern(&mut reset, &x, &pattern), fresh);
+
+        // Restore mid-sequence, after the fourth push.
+        let split: usize = pattern[..4].iter().sum();
+        let mut head = StreamingZeroPhase::new(Arc::clone(&f), settle, ext);
+        let mut resumed = push_pattern(&mut head, &x[..split], &pattern[..4]);
+        let mut restored = StreamingZeroPhase::new(Arc::clone(&f), settle, ext);
+        restored.push_chunk(&signal(400)[..], &mut Vec::new());
+        restored.restore(&head.snapshot()).unwrap();
+        let mut rest = pattern[4..].to_vec();
+        rest.extend_from_slice(&pattern[..4]);
+        resumed.extend(push_pattern(&mut restored, &x[split..], &rest));
+        assert_eq!(resumed, fresh);
+
+        let mut s = StreamingZeroPhase::new(Arc::clone(&f), settle, ext);
+        let mut fed = 0;
+        for &c in pattern.iter().cycle() {
+            if fed == x.len() {
+                break;
+            }
+            let c = c.min(x.len() - fed);
+            let tail_len = s.snapshot().tail.len() + c;
+            let mut run = Vec::new();
+            s.push_chunk(&x[fed..fed + c], &mut run);
+            fed += c;
+            assert_eq!(run.len(), tail_len.saturating_sub(settle));
+            assert_eq!(s.snapshot().tail.len(), tail_len.min(settle));
+        }
+        assert!(fresh.iter().map(Vec::len).sum::<usize>() > 2000);
+    }
+
+    /// The backward pass as it ran before the index-fed form: build the
+    /// reflection plus reversed tail in a scratch vector, filter it in
+    /// place, and read the oldest `settled` outputs off its end.
+    struct ScratchReference {
+        forward: StreamingCascade,
+        backward: StreamingCascade,
+        tail: Vec<f64>,
+        settle: usize,
+        ext: usize,
+        primed: bool,
+    }
+
+    impl ScratchReference {
+        fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
+            if chunk.is_empty() {
+                return;
+            }
+            if !self.primed {
+                let ext = self.ext.min(chunk.len() - 1);
+                for i in (1..=ext).rev() {
+                    let _ = self.forward.push(chunk[i]);
+                }
+                self.primed = true;
+            }
+            for &v in chunk {
+                let y = self.forward.push(v);
+                self.tail.push(y);
+            }
+            let settled = self.tail.len().saturating_sub(self.settle);
+            if settled == 0 {
+                return;
+            }
+            let ext = self.ext.min(self.tail.len() - 1);
+            let mut scratch = Vec::new();
+            for i in (self.tail.len() - 1 - ext)..self.tail.len() - 1 {
+                scratch.push(self.tail[i]);
+            }
+            scratch.extend(self.tail.iter().rev());
+            self.backward.reset();
+            self.backward.process_in_place(&mut scratch);
+            let n = scratch.len();
+            for i in 0..settled {
+                out.push(scratch[n - 1 - i]);
+            }
+            self.tail.drain(..settled);
+        }
+    }
+
+    #[test]
+    fn index_fed_backward_pass_matches_scratch_path_bitwise() {
+        let designs = [
+            (
+                design_cache::butterworth_lowpass(4, 20.0, FS).unwrap(),
+                125,
+                90,
+            ),
+            (
+                design_cache::butterworth_highpass(2, 0.4, FS).unwrap(),
+                500,
+                625,
+            ),
+        ];
+        let x = signal(4000);
+        for (f, settle, ext) in designs {
+            for pattern in [&[250usize][..], &[249, 250], &[1, 7, 300, 2, 999, 125]] {
+                let mut s = StreamingZeroPhase::new(Arc::clone(&f), settle, ext);
+                let mut reference = ScratchReference {
+                    forward: StreamingCascade::new(Arc::clone(&f)),
+                    backward: StreamingCascade::new(Arc::clone(&f)),
+                    tail: Vec::new(),
+                    settle,
+                    ext,
+                    primed: false,
+                };
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let mut fed = 0;
+                for &c in pattern.iter().cycle() {
+                    if fed == x.len() {
+                        break;
+                    }
+                    let c = c.min(x.len() - fed);
+                    s.push_chunk(&x[fed..fed + c], &mut a);
+                    reference.push_chunk(&x[fed..fed + c], &mut b);
+                    fed += c;
+                }
+                assert!(a.len() >= x.len() - settle - 999);
+                let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "pattern {pattern:?}");
+            }
+        }
     }
 
     #[test]
     fn zero_phase_reset_matches_fresh_instance() {
         let f = design_cache::butterworth_lowpass(4, 20.0, FS).unwrap();
         let x = signal(1500);
-        let mut reused = StreamingZeroPhase::new(Arc::clone(&f), (0.5 * FS) as usize, 90, 50);
+        let mut reused = StreamingZeroPhase::new(Arc::clone(&f), (0.5 * FS) as usize, 90);
         let mut garbage = Vec::new();
         reused.push_chunk(&x[..700], &mut garbage);
         reused.reset();
-        let mut fresh = StreamingZeroPhase::new(Arc::clone(&f), (0.5 * FS) as usize, 90, 50);
+        let mut fresh = StreamingZeroPhase::new(Arc::clone(&f), (0.5 * FS) as usize, 90);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for chunk in x.chunks(125) {
             reused.push_chunk(chunk, &mut a);
@@ -879,7 +987,7 @@ mod tests {
         let mut c_ref = StreamingCascade::new(Arc::clone(&lp));
         let mut f_ref = StreamingFir::new(Arc::clone(&fir));
         let mut d_ref = StreamingDerivative::new(FS);
-        let mut z_ref = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
+        let mut z_ref = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90);
         let mut z_ref_out = Vec::new();
         let mut refs = Vec::new();
         for (i, &v) in x.iter().enumerate() {
@@ -891,7 +999,7 @@ mod tests {
         let mut c = StreamingCascade::new(Arc::clone(&lp));
         let mut f = StreamingFir::new(Arc::clone(&fir));
         let mut d = StreamingDerivative::new(FS);
-        let mut z = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
+        let mut z = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90);
         let mut z_out = Vec::new();
         for (i, &v) in x[..split].iter().enumerate() {
             let got = (c.push(v), f.push(v), d.push(v));
@@ -902,7 +1010,7 @@ mod tests {
         let mut c2 = StreamingCascade::new(Arc::clone(&lp));
         let mut f2 = StreamingFir::new(Arc::clone(&fir));
         let mut d2 = StreamingDerivative::new(FS);
-        let mut z2 = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90, 50);
+        let mut z2 = StreamingZeroPhase::new(Arc::clone(&lp), (0.5 * FS) as usize, 90);
         c2.restore(&cs).unwrap();
         f2.restore(&fs_state).unwrap();
         d2.restore(&ds);

@@ -265,13 +265,22 @@ impl BeatDelineator {
     /// # Errors
     ///
     /// [`IcgError::InvalidParameter`] when the snapshot's template
-    /// exceeds this delineator's cap (different `fs`).
+    /// exceeds this delineator's cap (different `fs`), or its queued R
+    /// peaks do not strictly ascend (the invariant
+    /// [`BeatDelineator::push_r`] keeps).
     pub fn restore(&mut self, state: &DelineatorState) -> Result<(), IcgError> {
         if state.template.len() > self.template_cap {
             return Err(IcgError::InvalidParameter {
                 name: "snapshot",
                 value: state.template.len() as f64,
                 constraint: "template must fit the delineator's cap",
+            });
+        }
+        if let Some(w) = state.rs.windows(2).find(|w| w[1] <= w[0]) {
+            return Err(IcgError::InvalidParameter {
+                name: "snapshot.rs",
+                value: w[1] as f64,
+                constraint: "R peaks must be strictly ascending",
             });
         }
         self.ring.restore(&state.ring);

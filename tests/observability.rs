@@ -52,7 +52,7 @@ fn scheduler_run_populates_hop_quantiles_and_beat_counters() {
     let rec = recording(1);
     let mut sched =
         SessionScheduler::new(PipelineConfig::paper_default(FS), feeds(4, &rec)).unwrap();
-    let report = sched.run(8).unwrap();
+    let report = sched.run(8);
     assert!(report.beats > 0);
 
     let snap = obs::snapshot();
