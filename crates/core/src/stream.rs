@@ -387,7 +387,11 @@ pub struct BeatStream {
 /// the derivative's new samples (`hop − 1` on a stream's first hop,
 /// `hop` after), the HP whatever the LP settled. Each push runs one
 /// backward pass, so the hop is their only processing quantum and
-/// emissions stay a pure function of the hop sequence.
+/// emissions stay a pure function of the hop sequence. That pass starts
+/// from a closed-form state at the settle boundary (a dot product over
+/// the `settle + ext` newest and reflected samples against a
+/// state-response table shared by every stream at this `fs`), then
+/// recurses only over the samples it settles.
 ///
 /// # Errors
 ///
@@ -410,6 +414,62 @@ pub fn icg_zero_phase_stages(
         (fs / IcgConditioner::HIGHPASS_HZ) as usize,
     );
     Ok((lp, hp))
+}
+
+/// Rejects a snapshot whose sample cursors cannot come from one stream:
+/// the two pending channels must hold the same partial hop, every
+/// pushed sample is either processed or pending, the engine consumes
+/// whole hops, and the delineator trails the hop clock by at most
+/// `max_lag` samples (the derivative's one plus both settle delays).
+/// Restoring such state would index past a pending buffer, shift ECG
+/// against Z, or zero-pad the delineator without bound on a warm
+/// restart.
+fn check_cursors(
+    snap: &BeatStreamSnapshot,
+    hop: usize,
+    delineated: usize,
+    max_lag: usize,
+) -> Result<(), CoreError> {
+    let reject = |name, value: usize, constraint| {
+        Err(CoreError::InvalidParameter {
+            name,
+            value: value as f64,
+            constraint,
+        })
+    };
+    let pending = snap.pend_ecg.len();
+    if snap.pend_z.len() != pending {
+        return reject(
+            "snapshot.pend_z",
+            snap.pend_z.len(),
+            "must match pend_ecg's length",
+        );
+    }
+    if pending >= hop {
+        return reject("snapshot.pend_ecg", pending, "must hold less than one hop");
+    }
+    if snap.processed.checked_add(pending) != Some(snap.pushed) {
+        return reject(
+            "snapshot.pushed",
+            snap.pushed,
+            "must equal processed + pending",
+        );
+    }
+    if snap.processed % hop != 0 {
+        return reject(
+            "snapshot.processed",
+            snap.processed,
+            "must be a whole number of hops",
+        );
+    }
+    match snap.processed.checked_sub(delineated) {
+        Some(lag) if lag <= max_lag => Ok(()),
+        _ => reject(
+            "snapshot.delineator",
+            delineated,
+            "must trail processed by at most the settle budget",
+        ),
+    }
 }
 
 impl BeatStream {
@@ -868,7 +928,11 @@ impl BeatStream {
     /// # Errors
     ///
     /// * [`CoreError::InvalidParameter`] when the snapshot was taken at
-    ///   a different sampling rate than `config.fs`;
+    ///   a different sampling rate than `config.fs`, or its cursors
+    ///   cannot come from one stream: pending channels of different
+    ///   lengths or of a hop or more, `pushed ≠ processed + pending`, a
+    ///   partial hop processed, or a delineator trailing `processed` by
+    ///   more than the settle budget;
     /// * shape-mismatch errors from the kernel restores (a corrupted
     ///   snapshot);
     /// * construction errors from [`BeatStream::new`].
@@ -899,6 +963,12 @@ impl BeatStream {
         s.delineator
             .restore(&snap.delineator)
             .map_err(CoreError::Icg)?;
+        check_cursors(
+            snap,
+            s.hop,
+            s.delineator.samples_end(),
+            1 + s.lp.settle_samples() + s.hp.settle_samples(),
+        )?;
         s.ecg_in_holdover = snap.ecg_in_holdover;
         s.z_in_holdover = snap.z_in_holdover;
         s.ecg_mon.restore(&snap.ecg_mon);
@@ -1528,6 +1598,15 @@ mod tests {
             }
         }
         assert!(refined > 20, "only {refined} raw R refined");
+    }
+
+    #[test]
+    fn zero_phase_stages_share_one_priming_table_per_design() {
+        let (lp_a, hp_a) = icg_zero_phase_stages(250.0).unwrap();
+        let (lp_b, hp_b) = icg_zero_phase_stages(250.0).unwrap();
+        assert!(Arc::ptr_eq(lp_a.priming(), lp_b.priming()));
+        assert!(Arc::ptr_eq(hp_a.priming(), hp_b.priming()));
+        assert!(!Arc::ptr_eq(lp_a.priming(), hp_a.priming()));
     }
 
     #[test]

@@ -217,3 +217,55 @@ proptest! {
         decode_restore_push(&spliced);
     }
 }
+
+/// Snapshots whose sample cursors disagree decode cleanly (the codec
+/// checks shape, not meaning), so `restore` must reject each one rather
+/// than resume into a panic, an ECG/Z shift or an unbounded zero-fill.
+#[test]
+fn inconsistent_snapshot_cursors_are_rejected() {
+    let config = PipelineConfig::paper_default(FS);
+    let hop = FS as usize;
+    let base = BeatStreamSnapshot::from_bytes(mid_session_bytes()).unwrap();
+    assert!(base.pend_ecg.is_empty() && base.processed == base.pushed);
+    assert!(BeatStream::restore(config, &base).is_ok());
+
+    type Mutation = fn(&mut BeatStreamSnapshot, usize);
+    let cases: [(&str, Mutation); 7] = [
+        ("600 pending ECG samples, no Z", |s, _| {
+            s.pend_ecg = vec![0.1; 600];
+            s.pushed += 600;
+        }),
+        ("pending Z one short of ECG", |s, _| {
+            s.pend_ecg = vec![0.1; 40];
+            s.pend_z = vec![500.0; 39];
+            s.pushed += 40;
+        }),
+        ("a whole hop pending", |s, hop| {
+            s.pend_ecg = vec![0.1; hop];
+            s.pend_z = vec![500.0; hop];
+            s.pushed += hop;
+        }),
+        ("pushed ahead of processed + pending", |s, _| s.pushed += 1),
+        ("partial hop processed, lag still in budget", |s, _| {
+            s.processed -= 1;
+            s.pushed -= 1;
+        }),
+        ("delineator trails by four hops", |s, hop| {
+            s.processed += 4 * hop;
+            s.pushed += 4 * hop;
+        }),
+        ("delineator ahead of processed", |s, hop| {
+            s.processed -= 3 * hop;
+            s.pushed -= 3 * hop;
+        }),
+    ];
+    for (what, mutate) in cases {
+        let mut snap = base.clone();
+        mutate(&mut snap, hop);
+        let decoded = BeatStreamSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+        assert!(
+            BeatStream::restore(config, &decoded).is_err(),
+            "{what}: restored"
+        );
+    }
+}

@@ -15,20 +15,28 @@
 //! "same design" (no NaN keys occur — designers reject non-finite
 //! frequencies).
 //!
+//! The cache also holds what is derived from a design alone: the
+//! zero-phase backward-priming tables (`zero_phase_priming`), keyed by
+//! the coefficient bits plus the settle and reflection lengths, so every
+//! streaming session of one configuration shares one table.
+//!
 //! Cached entries are never evicted. The universe of designs in this
-//! workspace is a handful of filters; the cache stays a few kilobytes.
+//! workspace is a handful of filters and their priming tables; the cache
+//! stays a few tens of kilobytes.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::fir::Fir;
 use crate::iir::Butterworth;
+use crate::streaming::BackwardPriming;
 use crate::window::Window;
 use crate::DspError;
 
 /// Cache key: filter family plus the full design-parameter tuple, with
 /// floats carried as raw bits so the key is `Eq + Hash`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
     FirLowpass {
         order: usize,
@@ -65,6 +73,12 @@ enum Key {
         f2: u64,
         fs: u64,
     },
+    /// `[b0, b1, b2, a1, a2]` bits per section of the primed cascade.
+    ZeroPhasePriming {
+        sections: Vec<[u64; 5]>,
+        settle: usize,
+        ext: usize,
+    },
 }
 
 /// Hashable image of [`Window`] (the Kaiser β float becomes raw bits).
@@ -91,12 +105,9 @@ impl From<Window> for WindowKey {
     }
 }
 
-/// Cached value: either filter family behind an `Arc`.
-#[derive(Debug, Clone)]
-enum Entry {
-    Fir(Arc<Fir>),
-    Butterworth(Arc<Butterworth>),
-}
+/// Cached value: a `Fir`, a `Butterworth` or a `BackwardPriming`; the
+/// key kind fixes which, and [`get`] downcasts to it.
+type Entry = Arc<dyn Any + Send + Sync>;
 
 fn cache() -> &'static Mutex<HashMap<Key, Entry>> {
     static CACHE: OnceLock<Mutex<HashMap<Key, Entry>>> = OnceLock::new();
@@ -123,48 +134,27 @@ fn entries_gauge() -> &'static cardiotouch_obs::Gauge {
 
 /// Looks up `key`, designing (and inserting) on first use. The design
 /// runs outside the lock so a slow design never blocks other lookups.
-fn get_fir(key: Key, design: impl FnOnce() -> Result<Fir, DspError>) -> Result<Arc<Fir>, DspError> {
-    if let Some(Entry::Fir(f)) = cache().lock().expect("design cache poisoned").get(&key) {
+fn get<T: Any + Send + Sync>(
+    key: Key,
+    design: impl FnOnce() -> Result<T, DspError>,
+) -> Result<Arc<T>, DspError> {
+    let typed = |entry: &Entry| {
+        Arc::clone(entry)
+            .downcast::<T>()
+            .expect("each key kind maps to one value type")
+    };
+    if let Some(entry) = cache().lock().expect("design cache poisoned").get(&key) {
         hits().inc();
-        return Ok(Arc::clone(f));
+        return Ok(typed(entry));
     }
     misses().inc();
-    let designed = Arc::new(design()?);
+    let designed: Entry = Arc::new(design()?);
     let mut map = cache().lock().expect("design cache poisoned");
     // A racing thread may have inserted the same (deterministic) design;
     // keep the first insertion so all holders share one allocation.
-    let out = match map
-        .entry(key)
-        .or_insert_with(|| Entry::Fir(Arc::clone(&designed)))
-    {
-        Entry::Fir(f) => Ok(Arc::clone(f)),
-        Entry::Butterworth(_) => unreachable!("FIR key mapped to Butterworth entry"),
-    };
+    let out = typed(map.entry(key).or_insert(designed));
     entries_gauge().set(map.len() as i64);
-    out
-}
-
-/// Butterworth twin of [`get_fir`].
-fn get_butterworth(
-    key: Key,
-    design: impl FnOnce() -> Result<Butterworth, DspError>,
-) -> Result<Arc<Butterworth>, DspError> {
-    if let Some(Entry::Butterworth(f)) = cache().lock().expect("design cache poisoned").get(&key) {
-        hits().inc();
-        return Ok(Arc::clone(f));
-    }
-    misses().inc();
-    let designed = Arc::new(design()?);
-    let mut map = cache().lock().expect("design cache poisoned");
-    let out = match map
-        .entry(key)
-        .or_insert_with(|| Entry::Butterworth(Arc::clone(&designed)))
-    {
-        Entry::Butterworth(f) => Ok(Arc::clone(f)),
-        Entry::Fir(_) => unreachable!("Butterworth key mapped to FIR entry"),
-    };
-    entries_gauge().set(map.len() as i64);
-    out
+    Ok(out)
 }
 
 /// Cached [`Fir::lowpass`].
@@ -179,7 +169,7 @@ pub fn fir_lowpass(order: usize, fc: f64, fs: f64, window: Window) -> Result<Arc
         fs: fs.to_bits(),
         window: window.into(),
     };
-    get_fir(key, || Fir::lowpass(order, fc, fs, window))
+    get(key, || Fir::lowpass(order, fc, fs, window))
 }
 
 /// Cached [`Fir::highpass`].
@@ -194,7 +184,7 @@ pub fn fir_highpass(order: usize, fc: f64, fs: f64, window: Window) -> Result<Ar
         fs: fs.to_bits(),
         window: window.into(),
     };
-    get_fir(key, || Fir::highpass(order, fc, fs, window))
+    get(key, || Fir::highpass(order, fc, fs, window))
 }
 
 /// Cached [`Fir::bandpass`] — the paper's ECG conditioning filter class.
@@ -216,7 +206,7 @@ pub fn fir_bandpass(
         fs: fs.to_bits(),
         window: window.into(),
     };
-    get_fir(key, || Fir::bandpass(order, f1, f2, fs, window))
+    get(key, || Fir::bandpass(order, f1, f2, fs, window))
 }
 
 /// Cached [`Butterworth::lowpass`] — the paper's ICG conditioning filter
@@ -231,7 +221,7 @@ pub fn butterworth_lowpass(order: usize, fc: f64, fs: f64) -> Result<Arc<Butterw
         fc: fc.to_bits(),
         fs: fs.to_bits(),
     };
-    get_butterworth(key, || Butterworth::lowpass(order, fc, fs))
+    get(key, || Butterworth::lowpass(order, fc, fs))
 }
 
 /// Cached [`Butterworth::highpass`].
@@ -245,7 +235,7 @@ pub fn butterworth_highpass(order: usize, fc: f64, fs: f64) -> Result<Arc<Butter
         fc: fc.to_bits(),
         fs: fs.to_bits(),
     };
-    get_butterworth(key, || Butterworth::highpass(order, fc, fs))
+    get(key, || Butterworth::highpass(order, fc, fs))
 }
 
 /// Cached [`Butterworth::bandpass`] — used by the Pan-Tompkins QRS
@@ -266,7 +256,28 @@ pub fn butterworth_bandpass(
         f2: f2.to_bits(),
         fs: fs.to_bits(),
     };
-    get_butterworth(key, || Butterworth::bandpass(order, f1, f2, fs))
+    get(key, || Butterworth::bandpass(order, f1, f2, fs))
+}
+
+/// Cached [`BackwardPriming`] for a zero-phase stage over `filter` with
+/// the given settle and reflection lengths. The key is the coefficient
+/// bits, not the `Arc`, so any two equal designs share one table.
+pub(crate) fn zero_phase_priming(
+    filter: &Arc<Butterworth>,
+    settle: usize,
+    ext: usize,
+) -> Arc<BackwardPriming> {
+    let key = Key::ZeroPhasePriming {
+        sections: filter
+            .sections()
+            .iter()
+            .map(|c| [c.b0, c.b1, c.b2, c.a1, c.a2].map(f64::to_bits))
+            .collect(),
+        settle,
+        ext,
+    };
+    get(key, || Ok(BackwardPriming::new(filter, settle, ext)))
+        .expect("building a priming table cannot fail")
 }
 
 #[cfg(test)]
@@ -320,6 +331,18 @@ mod tests {
         let _b = fir_lowpass(32, 33.0, 251.0, Window::Hann).unwrap();
         assert!(hits().get() > hits_before);
         assert!(entries_gauge().get() >= 1);
+    }
+
+    #[test]
+    fn priming_tables_are_shared_per_design_and_lengths() {
+        let lp = butterworth_lowpass(4, 20.0, 250.0).unwrap();
+        let direct = Arc::new(Butterworth::lowpass(4, 20.0, 250.0).unwrap());
+        let a = zero_phase_priming(&lp, 125, 90);
+        let b = zero_phase_priming(&direct, 125, 90);
+        assert!(Arc::ptr_eq(&a, &b), "equal coefficients must share a table");
+        assert!(!Arc::ptr_eq(&a, &zero_phase_priming(&lp, 125, 91)));
+        let hp = butterworth_highpass(2, 0.4, 250.0).unwrap();
+        assert!(!Arc::ptr_eq(&a, &zero_phase_priming(&hp, 125, 90)));
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!   [`crate::diff::derivative`] with one sample of latency;
 //! * [`StreamingZeroPhase`] — an incremental emulation of
 //!   [`crate::zero_phase::filtfilt_iir`]: the forward pass streams with
-//!   persistent state, and the anti-causal backward pass is re-run once
-//!   per pushed chunk over a bounded unsettled tail, emitting samples
-//!   once enough right-context has accumulated for the backward
-//!   transient to die out.
+//!   persistent state, and the anti-causal backward pass runs once per
+//!   pushed chunk over the samples that settle, emitting them once
+//!   enough right-context has accumulated for the backward transient to
+//!   die out. Its state at the settle boundary is primed in closed form
+//!   from a shared state-response table ([`BackwardPriming`]) instead of
+//!   re-filtering the reflection and the unsettled tail.
 //!
 //! All kernels share coefficient sets behind [`std::sync::Arc`] (obtained
 //! from [`crate::design_cache`]), so a thousand concurrent sessions hold
@@ -27,11 +29,12 @@
 //! Causal kernels are **bitwise-identical** to their batch counterparts
 //! and chunk-size invariant (pinned by the tests below). The zero-phase
 //! emulation is not: each `push_chunk` is one processing quantum costing
-//! `O(chunk + tail + ext)`, and its output is a pure function of the
-//! chunk sequence. Callers quantize — the incremental engine
-//! (`core::stream::BeatStream`) pushes exactly one hop per call, which
-//! is where chunk-size invariance is proven. The output converges to
-//! the batch `filtfilt` interior at a rate set by the settle delay.
+//! `O(chunk)` serial steps plus an `O(settle + ext)` dot product, and
+//! its output is a pure function of the chunk sequence. Callers
+//! quantize — the incremental engine (`core::stream::BeatStream`)
+//! pushes exactly one hop per call, which is where chunk-size
+//! invariance is proven. The output converges to the batch `filtfilt`
+//! interior at a rate set by the settle delay.
 //!
 //! # State snapshots
 //!
@@ -386,30 +389,133 @@ pub struct DerivativeState {
     pub seen: usize,
 }
 
+/// The closed-form start of a [`StreamingZeroPhase`] backward pass: the
+/// cascade's state-response table for one `(design, settle, ext)`.
+///
+/// The backward cascade starts from zero and is linear and
+/// time-invariant, so its state after the priming run (the reflection,
+/// then the `settle` newest samples, newest first) is a weighted sum of
+/// those inputs. With `x_d = tail[len−1−d]` and `E = min(ext, len − 1)`:
+///
+/// `s = Σ_{d<settle} g[settle−1−d]·x_d + Σ_{1≤d≤E} g[settle−1+d]·x_d`,
+///
+/// where `g[k]` is the cascade state after a unit impulse followed by
+/// `k` zeros. The table evaluates that sum as dot products of
+/// independent multiply-adds instead of `settle + E` serial biquad
+/// steps. One table serves every `E ≤ ext`, so short tails need no
+/// other path.
+///
+/// The table holds `(settle + ext) × 2·sections` floats and is shared
+/// process-wide: [`StreamingZeroPhase::new`] takes it from
+/// [`crate::design_cache`], keyed by the design's coefficients.
+#[derive(Debug)]
+pub struct BackwardPriming {
+    settle: usize,
+    ext: usize,
+    /// Per state component (`s1`, `s2` of each section, in cascade
+    /// order), `settle` weights for `tail[settled..]`, oldest first:
+    /// `g[0..settle]`.
+    newer: Vec<f64>,
+    /// Per state component, `ext` weights for the reflection in tail
+    /// order: `g[settle+ext−1]` down to `g[settle]`, so the `E`
+    /// reflected samples `tail[len−1−E..len−1]` pair with the last `E`.
+    reflection: Vec<f64>,
+}
+
+impl BackwardPriming {
+    /// Builds the table by running a unit impulse through a zeroed
+    /// cascade of `filter` for `settle + ext` steps.
+    pub(crate) fn new(filter: &Arc<Butterworth>, settle: usize, ext: usize) -> Self {
+        let mut cascade = StreamingCascade::new(Arc::clone(filter));
+        let components = 2 * cascade.state.len();
+        let mut newer = vec![0.0; components * settle];
+        let mut reflection = vec![0.0; components * ext];
+        for k in 0..settle + ext {
+            let _ = cascade.push(if k == 0 { 1.0 } else { 0.0 });
+            let state = cascade.state.iter().flat_map(|&(s1, s2)| [s1, s2]);
+            for (c, v) in state.enumerate() {
+                if k < settle {
+                    newer[c * settle + k] = v;
+                } else {
+                    reflection[c * ext + (settle + ext - 1 - k)] = v;
+                }
+            }
+        }
+        Self {
+            settle,
+            ext,
+            newer,
+            reflection,
+        }
+    }
+
+    /// Writes into `state` the backward cascade's state after the
+    /// priming run over `tail`, whose oldest `len − settle` samples are
+    /// the ones about to settle.
+    fn load(&self, tail: &[f64], state: &mut [(f64, f64)]) {
+        let len = tail.len();
+        let e = self.ext.min(len - 1);
+        let newer = &tail[len - self.settle..];
+        let reflected = &tail[len - 1 - e..len - 1];
+        let weighted = |c: usize| {
+            let g = &self.newer[c * self.settle..(c + 1) * self.settle];
+            let h = &self.reflection[c * self.ext..(c + 1) * self.ext];
+            dot(g, newer) + dot(&h[self.ext - e..], reflected)
+        };
+        for (k, (s1, s2)) in state.iter_mut().enumerate() {
+            *s1 = weighted(2 * k);
+            *s2 = weighted(2 * k + 1);
+        }
+    }
+}
+
+/// `Σ a[i]·b[i]` over eight interleaved accumulators. Float addition is
+/// not reassociated by the compiler, so one running sum would serialise
+/// on the add latency; independent lanes run at multiply-add throughput.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    let mut acc = [0.0; LANES];
+    let (a_body, a_rest) = a.split_at(a.len() - a.len() % LANES);
+    let (b_body, b_rest) = b.split_at(a_body.len());
+    for (x, y) in a_body.chunks_exact(LANES).zip(b_body.chunks_exact(LANES)) {
+        for k in 0..LANES {
+            acc[k] += x[k] * y[k];
+        }
+    }
+    let rest: f64 = a_rest.iter().zip(b_rest).map(|(x, y)| x * y).sum();
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + rest
+}
+
 /// Incremental zero-phase (forward–backward) IIR filtering with a bounded
 /// settle delay.
 ///
 /// The forward pass is strictly causal and streams with persistent state
 /// — cost `O(chunk)`. The backward pass is anti-causal: the batch
 /// [`crate::zero_phase::filtfilt_iir`] warms it with the entire future.
-/// Here the backward recursion is instead re-run over the unsettled tail
-/// once per [`StreamingZeroPhase::push_chunk`], primed with an even
-/// reflection at the rolling head (the same edge-extension device the
-/// batch path uses at the true record end). A sample is *settled* —
-/// emitted, never revisited — once `settle` newer samples exist, by which
-/// point the backward transient has decayed by `exp(−settle / τ)` for a
-/// filter time constant of `τ` samples.
+/// Here the backward pass is instead started once per
+/// [`StreamingZeroPhase::push_chunk`] at the rolling head, as if it had
+/// run over an even reflection there (the same edge-extension device the
+/// batch path uses at the true record end) and then over the newest
+/// `settle` samples. That priming is closed-form ([`BackwardPriming`]):
+/// a dot product against a shared state-response table, not a re-run of
+/// the recursion. A sample is *settled* — emitted, never revisited —
+/// once `settle` newer samples exist, by which point the backward
+/// transient has decayed by `exp(−settle / τ)` for a filter time
+/// constant of `τ` samples.
 ///
 /// Each call is one processing quantum: the output is a pure function of
 /// the sequence of chunks pushed, not of the sample count alone, so
 /// callers that need chunk-size invariance quantize their input (the
 /// incremental engine pushes exactly one hop per call). A call costs
-/// `O(chunk + tail + ext)`, and the tail never holds more than
-/// `settle + chunk` samples.
+/// `O(chunk)` serial steps plus `O(settle + ext)` independent
+/// multiply-adds, and the tail never holds more than `settle + chunk`
+/// samples.
 #[derive(Debug, Clone)]
 pub struct StreamingZeroPhase {
     forward: StreamingCascade,
     backward: StreamingCascade,
+    /// Shared closed-form start of the backward pass.
+    priming: Arc<BackwardPriming>,
     /// Forward-pass outputs not yet settled.
     tail: Vec<f64>,
     /// Samples of right-context required before a sample settles.
@@ -428,11 +534,13 @@ impl StreamingZeroPhase {
     /// (clamped to the available signal).
     #[must_use]
     pub fn new(filter: Arc<Butterworth>, settle: usize, ext: usize) -> Self {
+        let settle = settle.max(1);
         Self {
             forward: StreamingCascade::new(Arc::clone(&filter)),
+            priming: crate::design_cache::zero_phase_priming(&filter, settle, ext),
             backward: StreamingCascade::new(filter),
             tail: Vec::new(),
-            settle: settle.max(1),
+            settle,
             ext,
             primed: false,
         }
@@ -445,26 +553,32 @@ impl StreamingZeroPhase {
         self.settle
     }
 
-    /// Returns the stage to its start-of-stream state: both cascades are
-    /// zeroed, the unsettled tail is dropped, and the next non-empty
-    /// chunk re-runs the stream-start forward priming. Used for
+    /// The shared state-response table that starts every backward pass.
+    #[must_use]
+    pub fn priming(&self) -> &Arc<BackwardPriming> {
+        &self.priming
+    }
+
+    /// Returns the stage to its start-of-stream state: the forward
+    /// cascade is zeroed, the unsettled tail is dropped, and the next
+    /// non-empty chunk re-runs the stream-start forward priming. Used for
     /// warm-restarting a pipeline after signal loss — the discarded tail
     /// was conditioned from pre-loss signal and must not leak across the
     /// restart.
     pub fn reset(&mut self) {
         self.forward.reset();
-        self.backward.reset();
         self.tail.clear();
         self.primed = false;
     }
 
     /// Pushes a chunk and appends every newly settled zero-phase output
     /// sample to `out`, in input order. The chunk is forward-filtered
-    /// into the tail, then one backward pass over the reflection and the
-    /// whole tail settles everything except the newest
-    /// `settle_samples()` samples. Cost is `O(chunk + tail + ext)` per
-    /// call, so callers should quantize: many small pushes re-run the
-    /// backward pass many times.
+    /// into the tail, then one backward pass settles everything except
+    /// the newest `settle_samples()` samples: its state at the settle
+    /// boundary comes closed-form from [`BackwardPriming`], and only the
+    /// settled outputs run the recursion. Each call pays the
+    /// `O(settle + ext)` priming once, so callers should quantize: many
+    /// small pushes prime many times.
     pub fn push_chunk(&mut self, chunk: &[f64], out: &mut Vec<f64>) {
         if chunk.is_empty() {
             return;
@@ -490,22 +604,14 @@ impl StreamingZeroPhase {
         if settled == 0 {
             return;
         }
-        // Backward pass, newest first, primed by an even reflection
-        // about the newest sample: `tail[len−1−ext..len−1]` in order,
-        // then the tail from newest to oldest. Only the oldest `settled`
-        // outputs are kept; they arrive newest-first, so the appended
-        // run is reversed in place.
-        let ext = self.ext.min(len - 1);
-        self.backward.reset();
-        for &v in &self.tail[len - 1 - ext..len - 1] {
-            let _ = self.backward.push(v);
-        }
-        let (older, newer) = self.tail.split_at(settled);
-        for &v in newer.iter().rev() {
-            let _ = self.backward.push(v);
-        }
+        // Backward pass, newest first. Its state after an even
+        // reflection about the newest sample and the `settle` newest
+        // samples is loaded closed-form; the oldest `settled` outputs
+        // then run the recursion. They arrive newest-first, so the
+        // appended run is reversed in place.
+        self.priming.load(&self.tail, &mut self.backward.state);
         let first = out.len();
-        for &v in older.iter().rev() {
+        for &v in self.tail[..settled].iter().rev() {
             out.push(self.backward.push(v));
         }
         out[first..].reverse();
@@ -514,7 +620,7 @@ impl StreamingZeroPhase {
 
     /// Captures the mutable zero-phase state: forward-cascade registers,
     /// unsettled tail and the priming flag. The backward cascade is
-    /// reset before every pass, so it is not part of the state.
+    /// loaded afresh before every pass, so it is not part of the state.
     #[must_use]
     pub fn snapshot(&self) -> ZeroPhaseState {
         ZeroPhaseState {
@@ -534,7 +640,6 @@ impl StreamingZeroPhase {
     /// count differs.
     pub fn restore(&mut self, state: &ZeroPhaseState) -> Result<(), DspError> {
         self.forward.restore(&state.forward)?;
-        self.backward.reset();
         self.tail.clear();
         self.tail.extend_from_slice(&state.tail);
         self.primed = state.primed;
@@ -851,9 +956,9 @@ mod tests {
         assert!(fresh.iter().map(Vec::len).sum::<usize>() > 2000);
     }
 
-    /// The backward pass as it ran before the index-fed form: build the
-    /// reflection plus reversed tail in a scratch vector, filter it in
-    /// place, and read the oldest `settled` outputs off its end.
+    /// The serial backward pass: build the reflection plus reversed tail
+    /// in a scratch vector, filter it in place from a zeroed cascade,
+    /// and read the oldest `settled` outputs off its end.
     struct ScratchReference {
         forward: StreamingCascade,
         backward: StreamingCascade,
@@ -900,7 +1005,10 @@ mod tests {
     }
 
     #[test]
-    fn index_fed_backward_pass_matches_scratch_path_bitwise() {
+    fn closed_form_backward_priming_matches_serial_path_within_tolerance() {
+        // The closed-form priming sums the same linear map in another
+        // order, so it agrees with the serial recursion to rounding, not
+        // bitwise. The last pattern's short pushes clamp the reflection.
         let designs = [
             (
                 design_cache::butterworth_lowpass(4, 20.0, FS).unwrap(),
@@ -937,8 +1045,16 @@ mod tests {
                     fed += c;
                 }
                 assert!(a.len() >= x.len() - settle - 999);
-                let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a), bits(&b), "pattern {pattern:?}");
+                assert_eq!(a.len(), b.len(), "pattern {pattern:?}");
+                let peak = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                let worst = a
+                    .iter()
+                    .zip(&b)
+                    .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()));
+                assert!(
+                    worst <= 1e-12 * peak,
+                    "pattern {pattern:?}: max |Δ| {worst:e} vs peak {peak:e}"
+                );
             }
         }
     }

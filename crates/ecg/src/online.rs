@@ -29,6 +29,11 @@ pub struct OnlinePanTompkins {
     mwi_hist: [f64; 3],
     /// raw-signal ring for apex localisation
     raw_ring: Vec<f64>,
+    /// slot of `raw_ring` the next sample lands in: always
+    /// `sample_idx % raw_ring.len()`, advanced by compare-and-wrap so the
+    /// per-sample path pays no integer division (not snapshotted;
+    /// re-derived on restore)
+    raw_pos: usize,
     spki: f64,
     npki: f64,
     sample_idx: usize,
@@ -75,6 +80,7 @@ impl OnlinePanTompkins {
             mwi_sum: 0.0,
             mwi_hist: [0.0; 3],
             raw_ring: vec![0.0; ring],
+            raw_pos: 0,
             spki: 0.0,
             npki: 0.0,
             sample_idx: 0,
@@ -121,8 +127,11 @@ impl OnlinePanTompkins {
         self.sample_idx += 1;
 
         // raw ring for apex localisation
-        let ring_len = self.raw_ring.len();
-        self.raw_ring[idx % ring_len] = sample;
+        self.raw_ring[self.raw_pos] = sample;
+        self.raw_pos += 1;
+        if self.raw_pos == self.raw_ring.len() {
+            self.raw_pos = 0;
+        }
 
         // causal band-pass
         let mut bp = sample;
@@ -139,7 +148,10 @@ impl OnlinePanTompkins {
         let sq = d * d;
         self.mwi_sum += sq - self.mwi_buf[self.mwi_pos];
         self.mwi_buf[self.mwi_pos] = sq;
-        self.mwi_pos = (self.mwi_pos + 1) % self.mwi_buf.len();
+        self.mwi_pos += 1;
+        if self.mwi_pos == self.mwi_buf.len() {
+            self.mwi_pos = 0;
+        }
         let mwi = self.mwi_sum / self.mwi_buf.len() as f64;
         self.mwi_hist.rotate_left(1);
         self.mwi_hist[2] = mwi;
@@ -245,6 +257,7 @@ impl OnlinePanTompkins {
         self.spki = state.spki;
         self.npki = state.npki;
         self.sample_idx = state.sample_idx;
+        self.raw_pos = state.sample_idx % self.raw_ring.len();
         self.last_r = state.last_r;
         self.pending = state.pending;
         self.warmup = state.warmup;
@@ -450,6 +463,10 @@ mod tests {
         let snap = first.snapshot();
         let mut resumed = OnlinePanTompkins::new(FS).unwrap();
         resumed.restore(&snap).unwrap();
+        // The raw-ring slot is not in the snapshot; it is re-derived
+        // from the absolute clock (`split` is not a multiple of it).
+        assert_ne!(split % resumed.raw_ring.len(), 0);
+        assert_eq!(resumed.raw_pos, first.raw_pos);
         for (i, &v) in x[split..].iter().enumerate() {
             assert_eq!(resumed.push(v), ref_out[split + i], "sample {}", split + i);
         }
